@@ -7,9 +7,10 @@ braids should compare equal exactly when some bijection of components
 matches framings and conjugates one matrix onto the other, so we order
 components canonically: sort by (framing, sorted absolute row multiset),
 then break remaining ties by brute force, choosing the ordering whose
-matrix is lexicographically least. Component counts are small, and ties
-with a nonzero matrix are rare, so the factorial fallback never bites in
-practice; the all-zero matrix (unlinks) short-circuits.
+matrix is lexicographically least. The all-zero matrix (unlinks)
+short-circuits, but tied linked components make the search factorial: the
+chain link s1^2 s2^2 ... s(n-1)^2 takes 12 s at n=11 and about 113 s at
+n=12 (bench/baseline.json).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import garside
 from .words import TAU, BraidWord, Letter, concat, invert, permutation_of, tau
+from .words import include_natural as include_word
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,4 @@ def project_pi(a: FramedBraid) -> BraidWord:
 
 def include_natural(a: FramedBraid, m: int) -> FramedBraid:
     """Widen to RB_(n+m): new untouched zero-framed ribbons on the right."""
-    if m < 0:
-        raise ValueError(f"cannot include by a negative number of ribbons: {m}")
-    return FramedBraid(
-        a.n + m, a.framings + (0,) * m, BraidWord(a.n + m, a.beta.letters)
-    )
+    return FramedBraid(a.n + m, a.framings + (0,) * m, include_word(a.beta, m))

@@ -35,7 +35,6 @@ from .plat import (
     plat_signature,
     plat_signatures_match,
 )
-from .plat import with_adjusted_framing as plat_adjusted
 from .words import BraidWord, sigma
 
 CLOSURE_KINDS = ("RL_over", "RL_under", "IntRL_over", "IntRL_under", "RM", "Conjugation", "TauConjugation")
@@ -118,7 +117,7 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
             detail["drift"] = sign
             moved = classical_stabilization(braid, sign)
             after = plat_signature(moved)
-            adjusted = plat_adjusted(after, braid.n + 1, -sign)
+            adjusted = with_adjusted_framing(after, braid.n + 1, -sign)
             ok = (not plat_signatures_match(before, after)) and plat_signatures_match(
                 before, adjusted
             )

@@ -19,9 +19,11 @@ Internally a permutation braid is the one-line tuple of its permutation,
   parenthesized part a permutation braid, and Delta powers are carried to
   the front through the flip automorphism Delta^-1 x Delta.
 
-Tables are never built, so the engine works for any n; words at desk scale
-(a few dozen crossings, n up to the teens) normalize in microseconds to
-milliseconds.
+Tables are never built, so the engine works for any n, but the cost grows
+faster than quadratically in the crossing count. Measured on a 2-vCPU Xeon
+under CPython 3.11 (bench/baseline.json): 142 crossings on 4 strands take
+85 ms, 184 crossings on 8 strands 0.63 s, and 94 and 390 crossings on 16
+strands 1.1 s and 13 s.
 """
 
 from __future__ import annotations
@@ -137,9 +139,6 @@ class GarsideNormalForm:
     n: int
     inf: int
     factors: tuple[Permutation, ...]
-
-    def canonical_length(self) -> int:
-        return len(self.factors)
 
     def to_word(self) -> BraidWord:
         """Spell the normal form back as a braid word (Delta power first)."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .framed import FramedBraid, framed_equal, multiply, inverse, normalize
-from .plat import is_plat_trivial
+from .plat import is_plat_trivial as plat_trivializes
 from .words import BraidWord, sigma, tau
 
 Atom = tuple[str, int]
@@ -158,9 +158,6 @@ class GeneratorDictionary:
         merged = dict(self.entries)
         merged.update({canonical_name(k): v for k, v in extra.items()})
         return GeneratorDictionary(self.n, merged)
-
-    def builtin_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
 
 
 @dataclass(frozen=True)
@@ -505,8 +502,11 @@ def verify_relation_suite(
     dictionary: GeneratorDictionary, suite: str
 ) -> tuple[RelationReport, ...]:
     """Check every instantiated relation of the suite against the dictionary."""
+    instances = suite_instances(suite, dictionary.n)
+    if not instances:
+        raise ValueError(f"suite {suite!r} has no relations at n={dictionary.n}")
     reports: list[RelationReport] = []
-    for inst in suite_instances(suite, dictionary.n):
+    for inst in instances:
         names = {name for name, _ in inst.lhs + inst.rhs}
         missing = tuple(sorted(n_ for n_ in names if n_ not in dictionary.entries))
         if missing:
@@ -526,16 +526,3 @@ def verify_relation_suite(
             )
         )
     return tuple(reports)
-
-
-def plat_trivializes(h: FramedBraid) -> bool:
-    """Necessary plat condition for membership in the framed cap stabilizer.
-
-    True when the framed plat closure of h is the pattern of the identity:
-    half as many components as ribbons, all framings zero, all pairwise
-    linking zero. The condition is not sufficient, so a True here never
-    certifies membership; a False refutes it.
-    """
-    if h.n % 2 != 0:
-        raise ValueError(f"plat triviality needs an even ribbon count, got {h.n}")
-    return is_plat_trivial(h)

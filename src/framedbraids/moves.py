@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .framed import FramedBraid, include_natural as include_framed, inverse, multiply, normalize, spell
-from .words import BraidWord, Letter, Permutation, concat, sigma, tau
+from .words import BraidWord, Letter, Permutation, concat, include_natural, sigma, tau
 
 L_KINDS = ("L_over", "L_under")
 RL_KINDS = ("RL_over", "RL_under")
@@ -79,21 +79,9 @@ class MoveDescriptor:
             raise ValueError(f"form must be 1 or 2, got {self.form}")
 
 
-def include_natural(a: BraidWord, m: int) -> BraidWord:
-    """The natural inclusion of B_n into B_(n+m): same letters, wider braid."""
-    if m < 0:
-        raise ValueError(f"cannot include by a negative number of strands: {m}")
-    return BraidWord(a.n + m, a.letters)
-
-
 def _run(lo: int, hi: int, exponent: int) -> list[Letter]:
     """Ascending crossing run sigma_lo ... sigma_hi; empty when lo > hi."""
     return [sigma(i, exponent) for i in range(lo, hi + 1)]
-
-
-def _run_desc(hi: int, lo: int, exponent: int) -> list[Letter]:
-    """Descending crossing run sigma_hi ... sigma_lo; empty when hi < lo."""
-    return [sigma(i, exponent) for i in range(hi, lo - 1, -1)]
 
 
 def over_inclusion(a: BraidWord, i: int) -> BraidWord:
@@ -114,7 +102,7 @@ def _dragged_inclusion(a: BraidWord, i: int, over: bool) -> BraidWord:
     letters = (
         tuple(_run(i, n, drag))
         + a.letters
-        + tuple(_run_desc(n, i, -drag))
+        + tuple(reversed(_run(i, n, -drag)))
     )
     return BraidWord(n + 1, letters)
 
@@ -153,9 +141,9 @@ def _l_move_letters(
         + include_natural(a1, 1).letters
         + tuple(_run(i, n - 1, conj))
         + tuple(middle)
-        + tuple(_run_desc(n - 1, i, -conj))
+        + tuple(reversed(_run(i, n - 1, -conj)))
         + include_natural(a2, 1).letters
-        + tuple(_run_desc(n, i + 1, -conj))
+        + tuple(reversed(_run(i + 1, n, -conj)))
     )
     return BraidWord(n + 1, letters)
 
@@ -204,22 +192,25 @@ def apply_integer_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     return normalize(BraidWord(core.n, wrapped))
 
 
-def apply_M_move(a: FramedBraid, sign: int) -> FramedBraid:
-    """Plain stabilization a sigma_n^sign, the unframed negative control."""
+def stabilize(a: FramedBraid, m: int, sign: int, framed: bool) -> FramedBraid:
+    """Widen a by m ribbons, then append sigma_n^sign, preceded by the
+    compensating twist t_n^-sign when framed is set."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +-1, got {sign}")
-    wide = include_framed(a, 1)
-    step = BraidWord(wide.n, (sigma(a.n, sign),))
+    wide = include_framed(a, m)
+    twist = (tau(a.n, -sign),) if framed else ()
+    step = BraidWord(wide.n, twist + (sigma(a.n, sign),))
     return normalize(concat(spell(wide), step))
+
+
+def apply_M_move(a: FramedBraid, sign: int) -> FramedBraid:
+    """Plain stabilization a sigma_n^sign, the unframed negative control."""
+    return stabilize(a, 1, sign, framed=False)
 
 
 def apply_RM_move(a: FramedBraid, sign: int) -> FramedBraid:
     """Framed stabilization a t_n^-sign sigma_n^sign into RB_(n+1)."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    wide = include_framed(a, 1)
-    step = BraidWord(wide.n, (tau(a.n, -sign), sigma(a.n, sign)))
-    return normalize(concat(spell(wide), step))
+    return stabilize(a, 1, sign, framed=True)
 
 
 def conjugate(a: FramedBraid, g: FramedBraid) -> FramedBraid:

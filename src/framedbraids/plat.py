@@ -3,10 +3,11 @@ Plat closure invariants of framed braids on an even number of ribbons, and
 the framed Birman move set.
 
 The plat closure caps adjacent endpoint pairs (2i-1, 2i) at the top and the
-bottom of a 2n-ribbon braid. Components come from a union-find pass over
-the cap incidences; each one is then traversed starting at its smallest top
-endpoint, entering the braid downward, which assigns every strand an up or
-down direction. A crossing keeps its letter sign when the two strands are
+bottom of a 2n-ribbon braid. Each component is found by walking the cap
+incidences from its smallest unvisited top endpoint, entering the braid
+downward, which assigns every strand an up or down direction. The crossing
+scan of the closure module then runs with those directions, one syllable
+at a time: a crossing keeps its letter sign when the two strands are
 traversed the same way and flips it otherwise; self-crossings accumulate
 into a component's self-writhe, and cross-component sums halve into linking
 numbers, exposed as absolute values because a plat closure carries no
@@ -23,8 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._canon import canonical_order
-from .framed import FramedBraid, include_natural as include_framed, multiply, normalize, spell
-from .words import SIGMA, BraidWord, concat, permutation_of, sigma, tau
+from .closure import crossing_sums, with_adjusted_framing
+from .closure import signatures_match as plat_signatures_match
+from .framed import FramedBraid, multiply
+from .moves import stabilize
+from .words import permutation_of
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,12 @@ class PlatComponent:
 class PlatSignature:
     component_count: int
     components: tuple[PlatComponent, ...]
-    abs_linking: tuple[tuple[int, ...], ...]
     canonical_key: tuple
+
+    @property
+    def abs_linking(self) -> tuple[tuple[int, ...], ...]:
+        """|linking| matrix in component order, stored once in the key."""
+        return self.canonical_key[2]
 
     def framings(self) -> tuple[int, ...]:
         return tuple(c.framing for c in self.components)
@@ -55,16 +63,14 @@ def _components_and_directions(
     def partner(e: int) -> int:
         return e + 1 if e % 2 == 1 else e - 1
 
-    seen: set[int] = set()
     traversals: list[list[tuple[int, str]]] = []
     direction: dict[int, int] = {}
     for start in range(1, b.n + 1):
-        if start in seen:
+        if start in direction:
             continue
         walk: list[tuple[int, str]] = []
         strand, down = start, True
         while True:
-            seen.add(strand)
             walk.append((strand, "down" if down else "up"))
             direction[strand] = (1 if down else -1) * (-1 if reverse else 1)
             if down:
@@ -88,32 +94,8 @@ def plat_signature(b: FramedBraid, _reverse: bool = False) -> PlatSignature:
     comp_of = {
         strand: c for c, walk in enumerate(traversals) for strand, _ in walk
     }
-    k = len(traversals)
-    self_writhe = [0] * k
-    cross = [[0] * k for _ in range(k)]
-    pos2strand = list(range(b.n + 1))
-    for letter in b.beta.letters:
-        if letter.kind != SIGMA:
-            continue
-        i, s = letter.index, letter.sign
-        for _ in range(abs(letter.exponent)):
-            u, v = pos2strand[i], pos2strand[i + 1]
-            adjusted = s * direction[u] * direction[v]
-            cu, cv = comp_of[u], comp_of[v]
-            if cu == cv:
-                self_writhe[cu] += adjusted
-            else:
-                cross[cu][cv] += adjusted
-                cross[cv][cu] += adjusted
-            pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
-    abs_linking = [[0] * k for _ in range(k)]
-    for cu in range(k):
-        for cv in range(cu + 1, k):
-            if cross[cu][cv] % 2 != 0:
-                raise RuntimeError(
-                    "odd inter-component crossing sum; plat scan is buggy"
-                )
-            abs_linking[cu][cv] = abs_linking[cv][cu] = abs(cross[cu][cv] // 2)
+    self_writhe, linking = crossing_sums(b.beta, comp_of, direction)
+    abs_linking = [[abs(v) for v in row] for row in linking]
     framings = [
         sum(b.framings[strand - 1] for strand, _ in walk) + w
         for walk, w in zip(traversals, self_writhe)
@@ -127,17 +109,15 @@ def plat_signature(b: FramedBraid, _reverse: bool = False) -> PlatSignature:
         )
         for c in order
     )
-    matrix = tuple(tuple(abs_linking[a_][b_] for b_ in order) for a_ in order)
-    return PlatSignature(k, components, matrix, ("plat",) + key)
-
-
-def plat_signatures_match(x: PlatSignature, y: PlatSignature) -> bool:
-    return x.canonical_key == y.canonical_key
+    return PlatSignature(len(traversals), components, ("plat",) + key)
 
 
 def is_plat_trivial(b: FramedBraid) -> bool:
     """Necessary condition for the ribbon cap stabilizer: the plat closure
     is an unlink pattern of n zero-framed, pairwise unlinked components.
+
+    The condition is not sufficient, so a True here never certifies
+    membership; a False refutes it. Odd ribbon counts raise ValueError.
     """
     sig = plat_signature(b)
     return (
@@ -171,43 +151,13 @@ def double_coset_move(
 
 def framed_stabilization(b: FramedBraid, sign: int) -> FramedBraid:
     """The move b -> b t_2n^-sign sigma_2n^sign from RB_2n into RB_(2n+2)."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +-1, got {sign}")
     if b.n % 2 != 0:
         raise ValueError(f"framed stabilization needs an even ribbon count, got {b.n}")
-    wide = include_framed(b, 2)
-    step = BraidWord(wide.n, (tau(b.n, -sign), sigma(b.n, sign)))
-    return normalize(concat(spell(wide), step))
+    return stabilize(b, 2, sign, framed=True)
 
 
 def classical_stabilization(b: FramedBraid, sign: int) -> FramedBraid:
     """b -> b sigma_2n^sign without the twist, the negative control."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +-1, got {sign}")
     if b.n % 2 != 0:
         raise ValueError(f"stabilization needs an even ribbon count, got {b.n}")
-    wide = include_framed(b, 2)
-    step = BraidWord(wide.n, (sigma(b.n, sign),))
-    return normalize(concat(spell(wide), step))
-
-
-def with_adjusted_framing(sig: PlatSignature, strand: int, delta: int) -> PlatSignature:
-    """Copy of sig with the framing of the component owning strand shifted."""
-    target = None
-    for idx, component in enumerate(sig.components):
-        if strand in component.strands:
-            target = idx
-            break
-    if target is None:
-        raise ValueError(f"no component contains strand {strand}")
-    framings = [c.framing for c in sig.components]
-    framings[target] += delta
-    order, key = canonical_order(framings, sig.abs_linking)
-    components = tuple(
-        PlatComponent(
-            sig.components[c].strands, framings[c], sig.components[c].traversal
-        )
-        for c in order
-    )
-    matrix = tuple(tuple(sig.abs_linking[a_][b_] for b_ in order) for a_ in order)
-    return PlatSignature(sig.component_count, components, matrix, ("plat",) + key)
+    return stabilize(b, 2, sign, framed=False)

@@ -68,7 +68,11 @@ def tau(j: int, exponent: int = 1) -> Letter:
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Freely reduce: merge adjacent equal (kind, index) runs, drop zeros."""
+    """Freely reduce: merge adjacent equal (kind, index) runs, drop zeros.
+
+    One stack pass suffices: out is reduced after every step, so a
+    cancellation exposes a top that the next letter is merged with in turn.
+    """
     out: list[Letter] = []
     for letter in letters:
         if out and out[-1].kind == letter.kind and out[-1].index == letter.index:
@@ -76,29 +80,8 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
             out.pop()
             if total != 0:
                 out.append(Letter(letter.kind, letter.index, total))
-                continue
-            # A cancellation may expose a new adjacent mergeable pair, but we
-            # only ever append reduced prefixes, so the invariant is kept by
-            # re-checking the new boundary on the next iteration; nothing to
-            # do here.
         else:
             out.append(letter)
-    # One cancellation can bring two equal runs next to each other; repeat
-    # until stable. Words are short, so the quadratic worst case is fine.
-    changed = True
-    while changed:
-        changed = False
-        merged: list[Letter] = []
-        for letter in out:
-            if merged and merged[-1].kind == letter.kind and merged[-1].index == letter.index:
-                total = merged[-1].exponent + letter.exponent
-                merged.pop()
-                if total != 0:
-                    merged.append(Letter(letter.kind, letter.index, total))
-                changed = True
-            else:
-                merged.append(letter)
-        out = merged
     return tuple(out)
 
 
@@ -153,6 +136,13 @@ def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     if a.n != b.n:
         raise ValueError(f"cannot concatenate words on {a.n} and {b.n} strands")
     return BraidWord(a.n, a.letters + b.letters)
+
+
+def include_natural(a: BraidWord, m: int) -> BraidWord:
+    """The natural inclusion of B_n into B_(n+m): same letters, wider braid."""
+    if m < 0:
+        raise ValueError(f"cannot include by a negative number of strands: {m}")
+    return BraidWord(a.n + m, a.letters)
 
 
 def invert(a: BraidWord) -> BraidWord:

@@ -6,7 +6,7 @@ import sys
 CLI = [sys.executable, "-m", "framedbraids"]
 
 
-def run_cli(*args, env_extra=None, stdin_text=None):
+def run_cli(*args, env_extra=None, stdin_text=None, timeout=None):
     env = dict(os.environ)
     env.pop("FBK_SEED", None)
     if env_extra:
@@ -17,6 +17,7 @@ def run_cli(*args, env_extra=None, stdin_text=None):
         text=True,
         env=env,
         input=stdin_text,
+        timeout=timeout,
     )
 
 
@@ -35,6 +36,13 @@ def test_hilden_verify_documented_example():
     assert payload and all(r["holds"] for r in payload)
     assert all(not r["skipped"] for r in payload)
     assert {"relation_id", "holds", "skipped"} <= set(payload[0])
+
+
+def test_hilden_verify_without_relations_exits_two():
+    for suite, n in (("hilden_1", "1"), ("hilden_1", "0"), ("framed_hilden", "0")):
+        proc = run_cli("hilden-verify", "--suite", suite, "--n", n)
+        assert proc.returncode == 2
+        assert "no relations" in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_eq_documented_example():

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from framedbraids import closure
 from framedbraids.closure import (
     INTEGER,
     closure_signature,
@@ -15,6 +17,7 @@ from framedbraids.moves import conjugate
 from framedbraids.parser import parse
 from framedbraids.words import BraidWord, exponent_sum
 
+from test_cli import run_cli
 from test_framed import _relation_instances, random_framed
 
 
@@ -53,6 +56,25 @@ def test_knot_framing_examples():
     assert knot_framing(FramedBraid.identity(1)) == 0
     with pytest.raises(ValueError):
         knot_framing(FramedBraid.identity(2))
+
+
+def test_knot_framing_cross_check_raises(monkeypatch):
+    braid = normalize(parse("t1 s1^3", 2))
+    assert knot_framing(braid) == 4
+    monkeypatch.setattr(closure, "exponent_sum", lambda word: exponent_sum(word) + 1)
+    with pytest.raises(RuntimeError):
+        knot_framing(braid)
+
+
+def test_large_exponent_answers_at_syllable_cost():
+    # The scan handles s1^e in one step; unit by unit it ran for over 10 s.
+    for e, linking in ((100, 50), (100000000, 50000000)):
+        proc = run_cli("closure", "--n", "2", f"s1^{e}", timeout=10)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {
+            "components": [{"framing": 0, "strands": [1]}, {"framing": 0, "strands": [2]}],
+            "linking": [[0, linking], [linking, 0]],
+        }
 
 
 def test_signatures_match_examples():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,6 +16,9 @@ from framedbraids.plat import (
     with_adjusted_framing,
 )
 
+from test_cli import run_cli
+
+
 def test_identity_unlinks():
     for n in range(1, 9):
         sig = plat_signature(FramedBraid.identity(2 * n))
@@ -26,6 +30,15 @@ def test_identity_unlinks():
 def test_odd_ribbon_count_rejected():
     with pytest.raises(ValueError):
         plat_signature(FramedBraid.identity(3))
+
+
+def test_large_exponent_answers_at_syllable_cost():
+    for e in (101, 100000001):
+        proc = run_cli("plat", "--n", "2", f"s1^{e}", timeout=10)
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["abs_linking"] == [[0]]
+        assert [c["framing"] for c in payload["components"]] == [-e]
 
 
 def test_single_crossing_merges_caps():
