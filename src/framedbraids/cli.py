@@ -9,6 +9,7 @@ trial), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,26 +35,11 @@ def _framed_json(b: FramedBraid) -> dict:
     return {"n": b.n, "framings": list(b.framings), "beta": format_word(b.beta)}
 
 
-def _closure_json(sig) -> dict:
+def _signature_json(sig, matrix_name: str) -> dict:
+    """Components as their dataclass fields, plus the named linking matrix."""
     return {
-        "components": [
-            {"strands": list(c.strands), "framing": c.framing} for c in sig.components
-        ],
-        "linking": [list(row) for row in sig.linking],
-    }
-
-
-def _plat_json(sig) -> dict:
-    return {
-        "components": [
-            {
-                "strands": list(c.strands),
-                "framing": c.framing,
-                "traversal": [[strand, direction] for strand, direction in c.traversal],
-            }
-            for c in sig.components
-        ],
-        "abs_linking": [list(row) for row in sig.abs_linking],
+        "components": [dataclasses.asdict(c) for c in sig.components],
+        matrix_name: [list(row) for row in getattr(sig, matrix_name)],
     }
 
 
@@ -128,11 +114,11 @@ def _run(args) -> int:
     if args.command == "closure":
         convention = "integer" if args.integer_framing else "blackboard"
         sig = closure_signature(normalize(parse(args.word, args.n)), convention)
-        _emit(_closure_json(sig), pretty)
+        _emit(_signature_json(sig, "linking"), pretty)
         return 0
     if args.command == "plat":
         sig = plat_signature(normalize(parse(args.word, args.n)))
-        _emit(_plat_json(sig), pretty)
+        _emit(_signature_json(sig, "abs_linking"), pretty)
         return 0
     if args.command == "move":
         braid = normalize(parse(args.word, args.n))
@@ -147,12 +133,7 @@ def _run(args) -> int:
         _emit(dict(_framed_json(result), kind=args.kind), pretty)
         return 0
     if args.command == "hilden-verify":
-        if args.suite == hilden.CLASSICAL_SUITE:
-            dictionary = hilden.GeneratorDictionary.classical(args.n)
-        elif args.suite == hilden.FRAMED_SUITE:
-            dictionary = hilden.GeneratorDictionary.framed(args.n)
-        else:
-            dictionary = hilden.GeneratorDictionary.pure(args.n)
+        dictionary = hilden.GeneratorDictionary.builtin(args.suite, args.n)
         if args.dict_path:
             with open(args.dict_path, encoding="utf-8") as handle:
                 raw = json.load(handle)

@@ -7,7 +7,9 @@ RM, conjugation and twist-conjugation moves, integer-framing signatures for
 the integer RL moves, plat signatures for double coset and framed
 stabilization moves. The uncompensated M and L moves are negative controls:
 their trials pass exactly when the affected component's framing drifts by
-the crossing sign and nothing else changes.
+the crossing sign and nothing else changes. Plat trials use an even strand
+count of at least 4 inside the configured range; a configuration that gives
+a plat move weight over a range without one is rejected.
 
 Every trial derives its own RNG from (seed, trial index), so reports are
 byte-identical across runs with the same configuration.
@@ -33,7 +35,6 @@ from .plat import (
     double_coset_move,
     framed_stabilization,
     plat_signature,
-    plat_signatures_match,
 )
 from .words import BraidWord, sigma
 
@@ -67,6 +68,15 @@ class FuzzConfig:
                 raise ValueError("move weights must be >= 0")
         if not any(w > 0 for _, w in self.move_mix):
             raise ValueError("move mix has no positive weight")
+        lo_half, hi_half = _plat_halves(self.n_range)
+        if lo_half > hi_half and any(k in PLAT_KINDS and w > 0 for k, w in self.move_mix):
+            raise ValueError(f"plat moves need an even strand count >= 4 in {self.n_range}")
+
+
+def _plat_halves(n_range: tuple[int, int]) -> tuple[int, int]:
+    """Bounds on the half strand count of a plat trial: 2h in n_range, h >= 2."""
+    lo, hi = n_range
+    return max(2, -(-lo // 2)), hi // 2
 
 
 def sample_framed_braid(rng: random.Random, n: int, length: int) -> FramedBraid:
@@ -81,18 +91,27 @@ def sample_framed_braid(rng: random.Random, n: int, length: int) -> FramedBraid:
 
 def sample_hilden_product(rng: random.Random, half: int, max_factors: int) -> FramedBraid:
     """A short product of built-in framed Hilden generators and inverses."""
-    names = ["theta", "omega"]
-    if half >= 2:
-        names += ["p", "s"]
+    names = [name for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]
+             if hilden.top_index(name, half) >= 1]
     out = FramedBraid.identity(2 * half)
     for _ in range(rng.randint(0, max_factors)):
         name = rng.choice(names)
-        top = half if name in ("theta", "omega") else half - 1
-        factor = hilden.framed_hilden_generator(name, rng.randint(1, top), half)
+        index = rng.randint(1, hilden.top_index(name, half))
+        factor = hilden.framed_hilden_generator(name, index, half)
         if rng.random() < 0.5:
             factor = inverse(factor)
         out = multiply(out, factor)
     return out
+
+
+def _control_passes(detail: dict, before, after, strand: int, sign: int) -> bool:
+    """Record the drift and check the negative-control law: the move changes
+    the signature, and lowering the framing of the component through strand
+    by sign restores it."""
+    detail["drift"] = sign
+    return not signatures_match(before, after) and signatures_match(
+        before, with_adjusted_framing(after, strand, -sign)
+    )
 
 
 def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dict]:
@@ -100,27 +119,23 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
     llo, lhi = config.word_length_range
     detail: dict = {"kind": kind}
     if kind in PLAT_KINDS:
-        half = max(2, rng.randint(max(1, lo // 2), max(2, hi // 2)))
+        lo_half, hi_half = _plat_halves(config.n_range)
+        half = max(lo_half, rng.randint(max(1, lo // 2), hi_half))
         braid = sample_framed_braid(rng, 2 * half, rng.randint(llo, lhi))
         before = plat_signature(braid)
         if kind == "DoubleCoset":
             h1 = sample_hilden_product(rng, half, 6)
             h2 = sample_hilden_product(rng, half, 6)
             after = plat_signature(double_coset_move(braid, h1, h2))
-            ok = plat_signatures_match(before, after)
+            ok = signatures_match(before, after)
         elif kind == "FramedStabilization":
             sign = rng.choice([-1, 1])
             after = plat_signature(framed_stabilization(braid, sign))
-            ok = plat_signatures_match(before, after)
+            ok = signatures_match(before, after)
         else:
             sign = rng.choice([-1, 1])
-            detail["drift"] = sign
-            moved = classical_stabilization(braid, sign)
-            after = plat_signature(moved)
-            adjusted = with_adjusted_framing(after, braid.n + 1, -sign)
-            ok = (not plat_signatures_match(before, after)) and plat_signatures_match(
-                before, adjusted
-            )
+            after = plat_signature(classical_stabilization(braid, sign))
+            ok = _control_passes(detail, before, after, braid.n + 1, sign)
         detail.update(n=braid.n, framings=list(braid.framings), beta=format_word(braid.beta))
         return ok, detail
 
@@ -148,19 +163,14 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
             return signatures_match(before, after), detail
         # Plain L-move control: the new strand enters at position index+1 in
         # the dragged word, and its component absorbs the uncompensated kink.
-        detail["drift"] = descriptor.sign
-        adjusted = with_adjusted_framing(after, descriptor.index + 1, -descriptor.sign)
-        ok = (not signatures_match(before, after)) and signatures_match(before, adjusted)
+        ok = _control_passes(detail, before, after, descriptor.index + 1, descriptor.sign)
         return ok, detail
     if kind == "M":
         sign = rng.choice([-1, 1])
         detail["descriptor"] = {"kind": kind, "sign": sign}
-        detail["drift"] = sign
         before = closure_signature(braid)
         after = closure_signature(apply_move(braid, MoveDescriptor("M", sign=sign)))
-        adjusted = with_adjusted_framing(after, n + 1, -sign)
-        ok = (not signatures_match(before, after)) and signatures_match(before, adjusted)
-        return ok, detail
+        return _control_passes(detail, before, after, n + 1, sign), detail
     if kind == "RM":
         sign = rng.choice([-1, 1])
         detail["descriptor"] = {"kind": kind, "sign": sign}

@@ -16,6 +16,11 @@ s(2k-1)^2 together with the omegas; its remaining generators (the p_ij,
 x_ij, y_ij braids) are only defined pictorially, so they are accepted as
 user-supplied dictionary entries rather than guessed.
 
+The words above are the rows of GENERATORS, the one place the built-in
+generators are defined, and SUITE_GENERATORS names each suite's generators.
+The generator functions, the built-in dictionaries, the CLI and the fuzz
+sampler all read these two tables.
+
 Relation suites are data driven: each relation is a pair of abstract words
 over generator names, instantiated exhaustively over the valid index
 combinations at a fixed n and decided by the exact word problem. A missing
@@ -26,11 +31,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .framed import FramedBraid, framed_equal, multiply, inverse, normalize
 from .plat import is_plat_trivial as plat_trivializes
-from .words import BraidWord, sigma, tau
+from .words import BraidWord, Letter, sigma, tau
 
 Atom = tuple[str, int]
 Word = tuple[Atom, ...]
@@ -41,54 +46,54 @@ PURE_SUITE = "pure_framed"
 SUITES = (CLASSICAL_SUITE, FRAMED_SUITE, PURE_SUITE)
 
 
+# name -> (top index minus n, letters of name_i); p and s reuse P and S.
+GENERATORS: dict[str, tuple[int, Callable[[int], tuple[Letter, ...]]]] = {
+    "P": (-1, lambda i: (sigma(2 * i), sigma(2 * i - 1),
+                         sigma(2 * i + 1, -1), sigma(2 * i, -1))),
+    "S": (-1, lambda i: (sigma(2 * i), sigma(2 * i - 1), sigma(2 * i + 1), sigma(2 * i))),
+    "Theta": (0, lambda i: (sigma(2 * i - 1),)),
+    "theta": (0, lambda i: (tau(2 * i - 1), sigma(2 * i - 1))),
+    "omega": (0, lambda i: (tau(2 * i - 1), tau(2 * i, -1))),
+    "g": (0, lambda i: (tau(2 * i - 1), tau(2 * i), sigma(2 * i - 1, 2))),
+}
+GENERATORS["p"], GENERATORS["s"] = GENERATORS["P"], GENERATORS["S"]
+
+# suite -> its built-in generator names; fuzz draws from the framed ones in
+# this order, so reordering them changes seeded fuzz reports.
+SUITE_GENERATORS = {
+    CLASSICAL_SUITE: ("P", "S", "Theta"),
+    FRAMED_SUITE: ("theta", "omega", "p", "s"),
+    PURE_SUITE: ("g", "omega"),
+}
+
+
+def top_index(name: str, n: int) -> int:
+    """The largest i for which the generator name_i exists in RB_2n."""
+    return n + GENERATORS[name][0]
+
+
+def builtin_generator(suite: str, name: str, i: int, n: int) -> FramedBraid:
+    """The built-in generator name_i of the suite's group inside RB_2n."""
+    if name not in SUITE_GENERATORS[suite]:
+        raise ValueError(f"unknown {suite} generator {name!r}")
+    if not 1 <= i <= top_index(name, n):
+        raise ValueError(f"{name}_{i} needs 1 <= i <= {top_index(name, n)}")
+    return normalize(BraidWord(2 * n, GENERATORS[name][1](i)))
+
+
 def hilden_generator(name: str, i: int, n: int) -> FramedBraid:
     """The classical generator P_i, S_i or Theta_i of H_2n, zero-framed."""
-    strands = 2 * n
-    if name in ("P", "S"):
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"{name}_{i} needs 1 <= i <= {n - 1}")
-        inner = -1 if name == "P" else 1
-        letters = (
-            sigma(2 * i),
-            sigma(2 * i - 1),
-            sigma(2 * i + 1, inner),
-            sigma(2 * i, inner),
-        )
-        return normalize(BraidWord(strands, letters))
-    if name == "Theta":
-        if not 1 <= i <= n:
-            raise ValueError(f"Theta_{i} needs 1 <= i <= {n}")
-        return normalize(BraidWord(strands, (sigma(2 * i - 1),)))
-    raise ValueError(f"unknown classical Hilden generator {name!r}")
+    return builtin_generator(CLASSICAL_SUITE, name, i, n)
 
 
 def framed_hilden_generator(name: str, i: int, n: int) -> FramedBraid:
     """The framed generator p_i, s_i, theta_i or omega_i of RH_2n."""
-    strands = 2 * n
-    if name in ("p", "s"):
-        return hilden_generator(name.upper(), i, n)
-    if name == "theta":
-        if not 1 <= i <= n:
-            raise ValueError(f"theta_{i} needs 1 <= i <= {n}")
-        return normalize(BraidWord(strands, (tau(2 * i - 1), sigma(2 * i - 1))))
-    if name == "omega":
-        if not 1 <= i <= n:
-            raise ValueError(f"omega_{i} needs 1 <= i <= {n}")
-        return normalize(BraidWord(strands, (tau(2 * i - 1), tau(2 * i, -1))))
-    raise ValueError(f"unknown framed Hilden generator {name!r}")
+    return builtin_generator(FRAMED_SUITE, name, i, n)
 
 
 def pure_framed_generator(name: str, k: int, n: int) -> FramedBraid:
     """The built-in pure framed generator g_k or omega_k of PRH_2n."""
-    strands = 2 * n
-    if name == "g":
-        if not 1 <= k <= n:
-            raise ValueError(f"g_{k} needs 1 <= k <= {n}")
-        letters = (tau(2 * k - 1), tau(2 * k), sigma(2 * k - 1, 2))
-        return normalize(BraidWord(strands, letters))
-    if name == "omega":
-        return framed_hilden_generator("omega", k, n)
-    raise ValueError(f"unknown pure framed generator {name!r}")
+    return builtin_generator(PURE_SUITE, name, k, n)
 
 
 _NAME_ALIASES = {"θ": "theta", "Θ": "Theta", "ω": "omega", "Ω": "omega"}
@@ -126,33 +131,25 @@ class GeneratorDictionary:
                 )
 
     @classmethod
+    def builtin(cls, suite: str, n: int) -> GeneratorDictionary:
+        """Every built-in generator name_i of the suite at half strand count n."""
+        return cls(n, {
+            f"{name}_{i}": builtin_generator(suite, name, i, n)
+            for name in SUITE_GENERATORS[suite]
+            for i in range(1, top_index(name, n) + 1)
+        })
+
+    @classmethod
     def classical(cls, n: int) -> GeneratorDictionary:
-        entries: dict[str, FramedBraid] = {}
-        for i in range(1, n):
-            entries[f"P_{i}"] = hilden_generator("P", i, n)
-            entries[f"S_{i}"] = hilden_generator("S", i, n)
-        for k in range(1, n + 1):
-            entries[f"Theta_{k}"] = hilden_generator("Theta", k, n)
-        return cls(n, entries)
+        return cls.builtin(CLASSICAL_SUITE, n)
 
     @classmethod
     def framed(cls, n: int) -> GeneratorDictionary:
-        entries: dict[str, FramedBraid] = {}
-        for i in range(1, n):
-            entries[f"p_{i}"] = framed_hilden_generator("p", i, n)
-            entries[f"s_{i}"] = framed_hilden_generator("s", i, n)
-        for k in range(1, n + 1):
-            entries[f"theta_{k}"] = framed_hilden_generator("theta", k, n)
-            entries[f"omega_{k}"] = framed_hilden_generator("omega", k, n)
-        return cls(n, entries)
+        return cls.builtin(FRAMED_SUITE, n)
 
     @classmethod
     def pure(cls, n: int) -> GeneratorDictionary:
-        entries: dict[str, FramedBraid] = {}
-        for k in range(1, n + 1):
-            entries[f"g_{k}"] = pure_framed_generator("g", k, n)
-            entries[f"omega_{k}"] = pure_framed_generator("omega", k, n)
-        return cls(n, entries)
+        return cls.builtin(PURE_SUITE, n)
 
     def with_entries(self, extra: dict[str, FramedBraid]) -> GeneratorDictionary:
         merged = dict(self.entries)
@@ -194,6 +191,11 @@ def _atoms(*parts: tuple[str, int] | str) -> Word:
     return tuple(out)
 
 
+def _comm(relation_id: str, x: str, *ys: str) -> RelationInstance:
+    """The commutation relation x y1...yk = y1...yk x."""
+    return RelationInstance(relation_id, _atoms(x, *ys), _atoms(*ys, x))
+
+
 def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[RelationInstance]:
     """Tawn's relations for H_2n over the generator names (P, S, T).
 
@@ -203,11 +205,7 @@ def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[Rela
     for a, b, tag in ((P, P, "PP"), (S, S, "SS")):
         for i in range(1, n):
             for j in range(i + 2, n):
-                yield RelationInstance(
-                    f"{prefix}.{tag}-far[i={i},j={j}]",
-                    _atoms(f"{a}_{i}", f"{b}_{j}"),
-                    _atoms(f"{b}_{j}", f"{a}_{i}"),
-                )
+                yield _comm(f"{prefix}.{tag}-far[i={i},j={j}]", f"{a}_{i}", f"{b}_{j}")
             if i + 1 <= n - 1:
                 j = i + 1
                 yield RelationInstance(
@@ -218,11 +216,7 @@ def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[Rela
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
-                yield RelationInstance(
-                    f"{prefix}.PS-far[i={i},j={j}]",
-                    _atoms(f"{P}_{i}", f"{S}_{j}"),
-                    _atoms(f"{S}_{j}", f"{P}_{i}"),
-                )
+                yield _comm(f"{prefix}.PS-far[i={i},j={j}]", f"{P}_{i}", f"{S}_{j}")
     for i in range(1, n - 1):
         yield RelationInstance(
             f"{prefix}.PSS[i={i}]",
@@ -247,16 +241,8 @@ def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[Rela
         )
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                yield RelationInstance(
-                    f"{prefix}.PT-comm[i={i},j={j}]",
-                    _atoms(f"{P}_{i}", f"{T}_{j}"),
-                    _atoms(f"{T}_{j}", f"{P}_{i}"),
-                )
-                yield RelationInstance(
-                    f"{prefix}.ST-comm[i={i},j={j}]",
-                    _atoms(f"{S}_{i}", f"{T}_{j}"),
-                    _atoms(f"{T}_{j}", f"{S}_{i}"),
-                )
+                yield _comm(f"{prefix}.PT-comm[i={i},j={j}]", f"{P}_{i}", f"{T}_{j}")
+                yield _comm(f"{prefix}.ST-comm[i={i},j={j}]", f"{S}_{i}", f"{T}_{j}")
         yield RelationInstance(
             f"{prefix}.ST-swap[i={i},j={i}]",
             _atoms(f"{S}_{i}", f"{T}_{i}"),
@@ -280,11 +266,7 @@ def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[Rela
         )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield RelationInstance(
-                f"{prefix}.TT-comm[i={i},j={j}]",
-                _atoms(f"{T}_{i}", f"{T}_{j}"),
-                _atoms(f"{T}_{j}", f"{T}_{i}"),
-            )
+            yield _comm(f"{prefix}.TT-comm[i={i},j={j}]", f"{T}_{i}", f"{T}_{j}")
 
 
 def _omega_family(n: int) -> Iterator[RelationInstance]:
@@ -312,18 +294,10 @@ def _omega_family(n: int) -> Iterator[RelationInstance]:
                     _atoms((f"omega_{i}", -1), f"theta_{j}"),
                 )
             else:
-                yield RelationInstance(
-                    f"FH.theta-omega-comm[j={j},i={i}]",
-                    _atoms(f"theta_{j}", f"omega_{i}"),
-                    _atoms(f"omega_{i}", f"theta_{j}"),
-                )
+                yield _comm(f"FH.theta-omega-comm[j={j},i={i}]", f"theta_{j}", f"omega_{i}")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield RelationInstance(
-                f"FH.omega-omega[i={i},j={j}]",
-                _atoms(f"omega_{i}", f"omega_{j}"),
-                _atoms(f"omega_{j}", f"omega_{i}"),
-            )
+            yield _comm(f"FH.omega-omega[i={i},j={j}]", f"omega_{i}", f"omega_{j}")
 
 
 def _cyclic_case(indices: tuple[int, ...]) -> bool:
@@ -375,19 +349,10 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                         continue
                     if ab == "y" and k == j:
                         continue
-                    yield RelationInstance(
-                        f"PFH.{ab}g-comm[i={i},j={j},k={k}]",
-                        _atoms(_pair(ab, i, j), f"g_{k}"),
-                        _atoms(f"g_{k}", _pair(ab, i, j)),
-                    )
+                    yield _comm(f"PFH.{ab}g-comm[i={i},j={j},k={k}]", _pair(ab, i, j), f"g_{k}")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield RelationInstance(
-                f"PFH.gg-comm[i={i},j={j}]",
-                _atoms(f"g_{i}", f"g_{j}"),
-                _atoms(f"g_{j}", f"g_{i}"),
-            )
-    seen_quads: set[tuple[int, int, int, int]] = set()
+            yield _comm(f"PFH.gg-comm[i={i},j={j}]", f"g_{i}", f"g_{j}")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -395,15 +360,11 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                     quad = (i, j, k, l)
                     if len(set(quad)) != 4 or not _cyclic_case(quad):
                         continue
-                    if quad in seen_quads:
-                        continue
-                    seen_quads.add(quad)
                     for a in ("p", "x", "y"):
                         for b in ("p", "x", "y"):
-                            yield RelationInstance(
+                            yield _comm(
                                 f"PFH.far-comm[{a}_{{{i},{j}}},{b}_{{{k},{l}}}]",
-                                _atoms(_pair(a, i, j), _pair(b, k, l)),
-                                _atoms(_pair(b, k, l), _pair(a, i, j)),
+                                _pair(a, i, j), _pair(b, k, l),
                             )
                     for a in ("p", "x", "y"):
                         for b in ("p", "x", "y"):
@@ -426,49 +387,35 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                 if case is None:
                     continue
                 for a, b, c in sorted(_TABLE1[case]):
-                    yield RelationInstance(
+                    yield _comm(
                         f"PFH.triple[{a}_{{{i},{j}}},{b}_{{{i},{k}}},{c}_{{{j},{k}}}]",
-                        _atoms(_pair(a, i, j), _pair(b, i, k), _pair(c, j, k)),
-                        _atoms(_pair(b, i, k), _pair(c, j, k), _pair(a, i, j)),
+                        _pair(a, i, j), _pair(b, i, k), _pair(c, j, k),
                     )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for ab in ("x", "y"):
-                yield RelationInstance(
-                    f"PFH.{ab}pg[i={i},j={j}]",
-                    _atoms(_pair(ab, i, j), _pair("p", i, j), f"g_{i}"),
-                    _atoms(_pair("p", i, j), f"g_{i}", _pair(ab, i, j)),
+                yield _comm(
+                    f"PFH.{ab}pg[i={i},j={j}]", _pair(ab, i, j), _pair("p", i, j), f"g_{i}"
                 )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield RelationInstance(
-                f"PFH.omega-omega[i={i},j={j}]",
-                _atoms(f"omega_{i}", f"omega_{j}"),
-                _atoms(f"omega_{j}", f"omega_{i}"),
-            )
+            yield _comm(f"PFH.omega-omega[i={i},j={j}]", f"omega_{i}", f"omega_{j}")
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             for j in range(k + 1, n + 1):
                 for ab in ("p", "x", "y"):
-                    yield RelationInstance(
-                        f"PFH.omega-{ab}[i={i},{ab}_{{{k},{j}}}]",
-                        _atoms(f"omega_{i}", _pair(ab, k, j)),
-                        _atoms(_pair(ab, k, j), f"omega_{i}"),
+                    yield _comm(
+                        f"PFH.omega-{ab}[i={i},{ab}_{{{k},{j}}}]", f"omega_{i}", _pair(ab, k, j)
                     )
     for i in range(1, n + 1):
         for k in range(1, n + 1):
-            yield RelationInstance(
-                f"PFH.omega-g[i={i},k={k}]",
-                _atoms(f"omega_{i}", f"g_{k}"),
-                _atoms(f"g_{k}", f"omega_{i}"),
-            )
+            yield _comm(f"PFH.omega-g[i={i},k={k}]", f"omega_{i}", f"g_{k}")
 
 
 def suite_instances(suite: str, n: int) -> tuple[RelationInstance, ...]:
     """All relation instances of a suite at half strand count n, deduplicated."""
     if suite == CLASSICAL_SUITE:
-        gen = _hilden_family(n, "P", "S", "Theta", "H1")
-        instances = list(gen)
+        instances = list(_hilden_family(n, "P", "S", "Theta", "H1"))
     elif suite == FRAMED_SUITE:
         instances = list(_hilden_family(n, "p", "s", "theta", "FH"))
         instances.extend(_omega_family(n))
@@ -476,15 +423,10 @@ def suite_instances(suite: str, n: int) -> tuple[RelationInstance, ...]:
         instances = list(_pure_family(n))
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    seen: set[frozenset[Word]] = set()
-    unique: list[RelationInstance] = []
+    unique: dict[frozenset[Word], RelationInstance] = {}
     for inst in instances:
-        key = frozenset((inst.lhs, inst.rhs))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(inst)
-    return tuple(unique)
+        unique.setdefault(frozenset((inst.lhs, inst.rhs)), inst)
+    return tuple(unique.values())
 
 
 def _evaluate(word: Word, dictionary: GeneratorDictionary) -> FramedBraid:

@@ -52,7 +52,9 @@ class MoveDescriptor:
     k is the integer-framing pair of the integer moves; conjugator is used
     by the Conjugation kind. form selects between the two word variants of
     an (R)L-move (1 inserts right of the cut column, 2 left); inverse marks
-    a step that undoes the move, as emitted in move sequences.
+    a step that undoes the move, as emitted in move sequences. The L, RL
+    and integer RL appliers implement only the forward form 1 and raise
+    ValueError on any other descriptor.
     """
 
     kind: str
@@ -148,6 +150,12 @@ def _l_move_letters(
     return BraidWord(n + 1, letters)
 
 
+def _check_applicable(d: MoveDescriptor, kinds: tuple[str, ...], applier: str) -> None:
+    """Refuse, rather than silently replace, a move the applier lacks."""
+    if d.kind not in kinds or d.form != 1 or d.inverse:
+        raise ValueError(f"{applier} applies only forward form-1 moves of {kinds}, got {d}")
+
+
 def apply_L_move(a: BraidWord, d: MoveDescriptor) -> BraidWord:
     """Classical L-move: cut a at d.split, reroute through strand d.index.
 
@@ -155,8 +163,7 @@ def apply_L_move(a: BraidWord, d: MoveDescriptor) -> BraidWord:
     downward orientation the writhe changes by exactly d.sign, which is why
     the framed variant exists.
     """
-    if d.kind not in L_KINDS:
-        raise ValueError(f"apply_L_move cannot apply kind {d.kind!r}")
+    _check_applicable(d, L_KINDS, "apply_L_move")
     a1, a2 = _split(a, d.split)
     return _l_move_letters(a1, a2, d.index, d.sign, d.kind == "L_over", twist=0)
 
@@ -167,8 +174,7 @@ def apply_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     The compensating t_d.index^-sign neutralizes the kink the crossing adds
     to the cut component, so the blackboard closure signature is preserved.
     """
-    if d.kind not in RL_KINDS:
-        raise ValueError(f"apply_RL_move cannot apply kind {d.kind!r}")
+    _check_applicable(d, RL_KINDS, "apply_RL_move")
     word = spell(a)
     a1, a2 = _split(word, d.split)
     moved = _l_move_letters(
@@ -179,8 +185,7 @@ def apply_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
 
 def apply_integer_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     """Integer framed L-move: wrap in t_(i+1)^k ... t_(i+1)^-k, k in {-1,0,1}."""
-    if d.kind not in INT_RL_KINDS:
-        raise ValueError(f"apply_integer_RL_move cannot apply kind {d.kind!r}")
+    _check_applicable(d, INT_RL_KINDS, "apply_integer_RL_move")
     word = spell(a)
     a1, a2 = _split(word, d.split)
     core = _l_move_letters(

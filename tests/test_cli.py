@@ -120,6 +120,15 @@ def test_fuzz_move_selection():
     assert set(payload["per_kind"]) <= {"RM", "Conjugation"}
 
 
+def test_fuzz_plat_moves_without_room_exit_two():
+    # the default mix has plat moves, which need an even strand count >= 4
+    proc = run_cli("fuzz", "--trials", "5", "--n-max", "1")
+    assert proc.returncode == 2
+    assert "even strand count" in json.loads(proc.stdout)["error"]["message"]
+    allowed = run_cli("fuzz", "--trials", "5", "--n-max", "1", "--moves", "RM=1")
+    assert allowed.returncode == 0
+
+
 def test_hilden_verify_with_user_dictionary(tmp_path):
     words = {"p_{1,2}": "", "x_{1,2}": "", "y_{1,2}": ""}
     path = tmp_path / "gens.json"

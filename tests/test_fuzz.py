@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from framedbraids import fuzz
 from framedbraids.fuzz import (
     CLOSURE_KINDS,
     CONTROL_KINDS,
+    PLAT_KINDS,
     FuzzConfig,
     run_fuzz,
 )
@@ -19,6 +21,12 @@ def test_config_validation():
         FuzzConfig(seed=0, trials=5, move_mix=(("Nonsense", 1),))
     with pytest.raises(ValueError):
         FuzzConfig(seed=0, trials=5, move_mix=(("RM", 0),))
+    # plat moves need an even strand count >= 4 inside n_range
+    for n_range in ((1, 1), (1, 3), (5, 5)):
+        for kind in PLAT_KINDS:
+            with pytest.raises(ValueError, match="even strand count"):
+                FuzzConfig(seed=0, trials=5, n_range=n_range, move_mix=((kind, 1),))
+    FuzzConfig(seed=0, trials=5, n_range=(1, 1), move_mix=(("RM", 1), ("DoubleCoset", 0)))
 
 
 def test_default_mix_passes():
@@ -61,3 +69,19 @@ def test_plat_kinds():
         )
     )
     assert report["failed"] == 0, report["first_failure"]
+
+
+def test_plat_kinds_respect_strand_range(monkeypatch):
+    seen = []
+    original = fuzz.plat_signature
+
+    def recording(b):
+        seen.append(b.n)
+        return original(b)
+
+    monkeypatch.setattr(fuzz, "plat_signature", recording)
+    report = run_fuzz(
+        FuzzConfig(seed=17, trials=40, n_range=(5, 9), move_mix=(("DoubleCoset", 1),))
+    )
+    assert report["failed"] == 0, report["first_failure"]
+    assert set(seen) == {6, 8}

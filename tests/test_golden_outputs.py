@@ -1,9 +1,10 @@
-"""Byte-level pins of fuzz reports and CLI output.
+"""Byte-level pins of fuzz reports, CLI output and the Hilden relation data.
 
 Refactors must keep the same answers: the same normal forms, signatures,
-CLI JSON and fuzz reports. Each case below is hashed (sha256 of the JSON
-report, or of stdout plus the exit code) and compared with the digest
-recorded before the last refactor. Run this file directly to print the
+CLI JSON, fuzz reports and relation suites. Each case below is hashed
+(sha256 of the JSON report, of stdout plus the exit code, or of a suite's
+relation instances plus its built-in generator dictionary) and compared
+with the digest recorded before the last refactor. Run this file directly to print the
 current digests:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -18,6 +19,8 @@ import pytest
 
 from framedbraids.cli import main
 from framedbraids.fuzz import ALL_KINDS, FuzzConfig, run_fuzz
+from framedbraids.hilden import GeneratorDictionary, suite_instances
+from framedbraids.parser import format_word
 
 FUZZ_TRIALS = 100
 ALL_KINDS_MIX = tuple((kind, 1) for kind in ALL_KINDS)
@@ -79,6 +82,27 @@ def fuzz_digest(mix_name: str, seed: int) -> str:
         config = FuzzConfig(seed=seed, trials=FUZZ_TRIALS, n_range=(1, 7),
                             move_mix=ALL_KINDS_MIX)
     return _sha(json.dumps(run_fuzz(config), sort_keys=True))
+
+
+BUILTIN_DICTIONARIES = {
+    "hilden_1": GeneratorDictionary.classical,
+    "framed_hilden": GeneratorDictionary.framed,
+    "pure_framed": GeneratorDictionary.pure,
+}
+RELATION_HALVES = range(1, 8)
+
+
+def relation_digest(suite: str, half: int) -> str:
+    """The suite's instances in order, then its built-in entries by name."""
+    instances = [
+        [inst.relation_id, [list(a) for a in inst.lhs], [list(a) for a in inst.rhs], inst.note]
+        for inst in suite_instances(suite, half)
+    ]
+    entries = [
+        [name, list(b.framings), format_word(b.beta)]
+        for name, b in sorted(BUILTIN_DICTIONARIES[suite](half).entries.items())
+    ]
+    return _sha(json.dumps([instances, entries]))
 
 
 def cli_digest(argv: tuple[str, ...]) -> str:
@@ -156,6 +180,31 @@ CLI_GOLDEN = {
 }
 
 
+RELATION_GOLDEN = {
+    'hilden_1-1': 'bd4928b9a0ec8247ad6f479826bbe61f335a30b10109743351595c2882ea75d3',
+    'hilden_1-2': 'c8c943da48ef38b184ffc686e89d54fc539fbb9af97bf84673cb05bc33a38686',
+    'hilden_1-3': 'bc42a7361fcfd1acd72ba416dab0cae9c36e92783fc936e6a1d4ee7bd9e70690',
+    'hilden_1-4': '697af34fac0c376a146d4883ebdf88eab1266c0a172dc402aa262846f6c26ab4',
+    'hilden_1-5': 'e55713771c509e65088d291769814da59fbec6dcf2830d7e40848cca860f180b',
+    'hilden_1-6': '7690bce48ae3a5b0eff92fba219c26d52cfb6ac3ac89fa17161d48fcf7df4777',
+    'hilden_1-7': 'aab85ef9fbb6c578da3d67286ff5ab6109d375e367ecdb965b1a5ddde2092ad4',
+    'framed_hilden-1': '5893c4a4f9f8ea57ef83e488d138093fb4551e0cbf415ffc4b3e883b85a1ece7',
+    'framed_hilden-2': 'fcfd9da92ecd2cd023f5d9583a84a59f390607378d02b3bc26b2a08b6d6c11ee',
+    'framed_hilden-3': 'a187e3743847e4fb36bedfa68c8ddbe56b5fa0a0ec1adcb2c7a6d5b7279b3e83',
+    'framed_hilden-4': 'fcce2ecdd91adec563ac8df8eff392561f6da8029377be28cf81385a183b9bd9',
+    'framed_hilden-5': 'd31b0ee3e998b8b52ad85b92b36ad84dc0e45b0934825dc762662b49345b2e94',
+    'framed_hilden-6': 'ed684019e26c0523dd5e88689ec6a99efb61282ea5bc7b7e9f00b4c9b2167041',
+    'framed_hilden-7': '30bbbf3723e3bd0ca2e0d3992ef804ed9ee149d73ffd06d048b9555992a0e2ce',
+    'pure_framed-1': '8907eb9f6291d5b010e85653527b424a9c871c33a87c803d2038086886da366e',
+    'pure_framed-2': '819f144c3837dd13ff47b9641f8bd8c3aa5525e69f31209c0aad041d44972fc2',
+    'pure_framed-3': '3b5b3943c1a21956d79fd1c375eae3d57363990533b486f54e165f523a2a025d',
+    'pure_framed-4': 'af341de5fbbf924ff74402379a6da09238f7a48289f14176e2139db8beb298b1',
+    'pure_framed-5': '2d741194611db6ce081d7e69baa2075a500f649875bb34762ae68b703ade0deb',
+    'pure_framed-6': '18812cc991cdd2d61f2ec7f3909121431d0f5f195021d93f82afe876d6b6e8c6',
+    'pure_framed-7': 'f2dbe1744b1a7e832a8d86be5158280be68b935405bba747130ec24c7c7e788f',
+}
+
+
 @pytest.mark.parametrize("mix_name", ["default", "all_kinds"])
 def test_fuzz_reports_unchanged(mix_name):
     got = {seed: fuzz_digest(mix_name, seed) for seed in range(10)}
@@ -168,6 +217,12 @@ def test_cli_outputs_unchanged():
     assert not changed
 
 
+def test_relation_data_unchanged():
+    got = {f"{suite}-{half}": relation_digest(suite, half)
+           for suite in BUILTIN_DICTIONARIES for half in RELATION_HALVES}
+    assert got == RELATION_GOLDEN
+
+
 if __name__ == "__main__":
     print("FUZZ_GOLDEN = {")
     for mix in ("default", "all_kinds"):
@@ -178,4 +233,8 @@ if __name__ == "__main__":
     print("}\n\nCLI_GOLDEN = {")
     for name, argv in CLI_CASES.items():
         print(f"    {name!r}: {cli_digest(argv)!r},")
+    print("}\n\nRELATION_GOLDEN = {")
+    for suite in BUILTIN_DICTIONARIES:
+        for half in RELATION_HALVES:
+            print(f"    '{suite}-{half}': {relation_digest(suite, half)!r},")
     print("}")

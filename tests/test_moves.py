@@ -266,6 +266,34 @@ def test_tau_conjugation_sequence():
         assert framed_equal(steps[0][1], steps[1][1])
 
 
+@pytest.mark.parametrize("unhonoured", [{"form": 2}, {"inverse": True}])
+@pytest.mark.parametrize(
+    "applier, kind, framed",
+    [
+        (apply_L_move, "L_over", False),
+        (apply_RL_move, "RL_under", True),
+        (apply_integer_RL_move, "IntRL_over", True),
+    ],
+)
+def test_appliers_refuse_unimplemented_descriptors(applier, kind, framed, unhonoured):
+    braid = normalize(parse("t1 s1 s2^-1", 3))
+    descriptor = MoveDescriptor(kind, split=1, index=2, **unhonoured)
+    with pytest.raises(ValueError, match="form-1"):
+        applier(braid if framed else spell(braid), descriptor)
+    with pytest.raises(ValueError, match="form-1"):
+        apply_move(braid, descriptor)
+
+
+def test_tau_conjugation_descriptors_are_refused():
+    # the chain's form-2 and inverse steps have no applier yet
+    a = normalize(parse("t1 s1", 2))
+    d1, _, d3 = (d for d, _ in tau_conjugation_as_RL_sequence(a, 1, 1))
+    assert d1.form == 2 and d3.inverse
+    for descriptor in (d1, d3):
+        with pytest.raises(ValueError, match="form-1"):
+            apply_move(a, descriptor)
+
+
 def test_solve_framing_transfer_examples():
     p = Permutation.identity(3)
     assert solve_framing_transfer(p, (1, 2, 3), (1, 2, 3)) == (0, 0, 0)
