@@ -9,12 +9,15 @@ package's normal-form machinery.
 - Reduced Burau matrices over exact integer Laurent polynomials certify
   inequality in B_3, where the representation is faithful.
 - brute_transfer searches an integer box for framing-transfer solutions.
+- brute_canonical_order tries every tie-group permutation of a signature's
+  components and keeps the lexicographically least reordered matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import Sequence
 
 
 # --- signed-word utilities -------------------------------------------------
@@ -212,3 +215,48 @@ def brute_transfer(
         ):
             return r
     return None
+
+
+# --- brute-force canonical component order ---------------------------------
+
+def brute_canonical_order(
+    framings: Sequence[int], matrix: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple]:
+    """The (order, key) of the least (reordered matrix, order) among all
+    orders that keep the base-key groups in sorted order, found by trying
+    every permutation of every tied group."""
+    k = len(framings)
+    base: list[tuple[int, tuple[int, ...]]] = [
+        (
+            framings[c],
+            tuple(sorted(abs(matrix[c][d]) for d in range(k) if d != c)),
+        )
+        for c in range(k)
+    ]
+    order = sorted(range(k), key=lambda c: (base[c], c))
+    groups: list[list[int]] = []
+    for c in order:
+        if groups and base[groups[-1][0]] == base[c]:
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+
+    def reordered(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(matrix[a][b] for b in perm) for a in perm)
+
+    trivial_ties = all(len(g) == 1 for g in groups)
+    zero_matrix = all(
+        matrix[a][b] == 0 for a in range(k) for b in range(k) if a != b
+    )
+    if trivial_ties or zero_matrix:
+        best = tuple(order)
+    else:
+        best = None
+        best_mat = None
+        for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
+            candidate = tuple(c for group in choice for c in group)
+            mat = reordered(candidate)
+            if best_mat is None or (mat, candidate) < (best_mat, best):
+                best, best_mat = candidate, mat
+    key = (tuple(base[c] for c in best), reordered(best))
+    return best, key

@@ -77,6 +77,36 @@ def test_large_exponent_answers_at_syllable_cost():
         }
 
 
+def _components_and_links(proc):
+    """Framing per strand set, and the strand-set pairs with their linking."""
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    strands = [tuple(c["strands"]) for c in out["components"]]
+    framings = {s: c["framing"] for s, c in zip(strands, out["components"])}
+    links = {
+        tuple(sorted((strands[a], strands[b]))): v
+        for a, row in enumerate(out["linking"])
+        for b, v in enumerate(row)
+        if a < b and v
+    }
+    return framings, links
+
+
+def test_tie_heavy_links_answer_without_factorial_search():
+    # Every inner component ties with every other, which a search over all
+    # permutations of the tied group took minutes (n=12) or longer to order.
+    chain = " ".join(f"s{i}^2" for i in range(1, 12))
+    framings, links = _components_and_links(run_cli("closure", "--n", "12", chain, timeout=10))
+    assert framings == {(j,): 0 for j in range(1, 13)}
+    assert links == {((i,), (i + 1,)): 1 for i in range(1, 12)}
+
+    full_twist = " ".join(f"s{i}" for _ in range(10) for i in range(1, 10))
+    framings, links = _components_and_links(
+        run_cli("closure", "--n", "10", full_twist, timeout=10))
+    assert framings == {(j,): 0 for j in range(1, 11)}
+    assert links == {((i,), (j,)): 1 for i in range(1, 11) for j in range(i + 1, 11)}
+
+
 def test_signatures_match_examples():
     rng = random.Random(31)
     for _ in range(50):

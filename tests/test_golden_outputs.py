@@ -71,6 +71,24 @@ for _suite in ("hilden_1", "framed_hilden", "pure_framed"):
             "hilden-verify", "--suite", _suite, "--n", str(_half))
 
 
+def _tie_chain(n: int, crossings: range, k: int) -> str:
+    """Equal twists on every strand, then s_i^(2k) for each i in crossings."""
+    return " ".join([f"t{j}" for j in range(1, n + 1)] + [f"s{i}^{2 * k}" for i in crossings])
+
+
+# Tie-heavy links: every inner component has the same base key, so these
+# pin the tie-break among equal components, not just the sort by base key.
+for _k in (1, -1):
+    for _n in range(6, 10):
+        _word = _tie_chain(_n, range(1, _n), _k)
+        CLI_CASES[f"closure-tie-{_n}-{_k}"] = ("closure", "--n", str(_n), _word)
+        CLI_CASES[f"closure-tie-{_n}-{_k}-int"] = (
+            "closure", "--integer-framing", "--n", str(_n), _word)
+    for _m in range(3, 6):
+        CLI_CASES[f"plat-tie-{_m}-{_k}"] = (
+            "plat", "--n", str(2 * _m), _tie_chain(2 * _m, range(2, 2 * _m - 1, 2), _k))
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -177,6 +195,28 @@ CLI_GOLDEN = {
     'hilden-verify-framed_hilden-3': '0f7ad64ca72cfb1ca5136f13a82d5568dea633840165f6816baecc180a43fcc8',
     'hilden-verify-pure_framed-2': '0076032d59f4eabac71bbaa8bd825e232442a7d8a64182a0abcfffa3c31f3de9',
     'hilden-verify-pure_framed-3': 'b2cb3a55dd8fe873b646a3528e3d53e6e6727dce2f5419e47c9c7ed91349f001',
+    'closure-tie-6-1': '8179472af558ff54f9a1c2bb5fa58b700d07f9e3ab764387cb7963e406e11a7e',
+    'closure-tie-6-1-int': '8179472af558ff54f9a1c2bb5fa58b700d07f9e3ab764387cb7963e406e11a7e',
+    'closure-tie-7-1': 'b278a7468a3bc3051a465c772ec83382aa8490f11b76fbaf1de853a6add541ec',
+    'closure-tie-7-1-int': 'b278a7468a3bc3051a465c772ec83382aa8490f11b76fbaf1de853a6add541ec',
+    'closure-tie-8-1': '27ed099ce8c313f8349c044acd7d6bf1a316a4797b6b83ee5556f2b982dc5a39',
+    'closure-tie-8-1-int': '27ed099ce8c313f8349c044acd7d6bf1a316a4797b6b83ee5556f2b982dc5a39',
+    'closure-tie-9-1': '7c354e47f1591def409a598f7427b521517d34484f6235a9f3d07cac2a6c0001',
+    'closure-tie-9-1-int': '7c354e47f1591def409a598f7427b521517d34484f6235a9f3d07cac2a6c0001',
+    'plat-tie-3-1': '902df820c35f11e524f64cc2cb40065ce0130cd239883915e784baca83b87cf3',
+    'plat-tie-4-1': '481f3a1c95510479533ecaa6f549e530ee602d6ed135a945abb7beab03d78f34',
+    'plat-tie-5-1': '90d53800f3197cf69d22c8c9d3e5303eaa224e2bcdca280ef4ee7309e2e3f51e',
+    'closure-tie-6--1': '101ff0850a888838a27e2986f357c9fb1819e85eb6cf4779aef84225944b6e81',
+    'closure-tie-6--1-int': '101ff0850a888838a27e2986f357c9fb1819e85eb6cf4779aef84225944b6e81',
+    'closure-tie-7--1': '2056e5efa61fb44d28e8d6e984ca5cc2152cc15c28ea6d6a02a3f37385ac7a7d',
+    'closure-tie-7--1-int': '2056e5efa61fb44d28e8d6e984ca5cc2152cc15c28ea6d6a02a3f37385ac7a7d',
+    'closure-tie-8--1': 'd4158399fbe7ce44e4a7aa0a8e41abf892d87007390e82e83406d808000f01a5',
+    'closure-tie-8--1-int': 'd4158399fbe7ce44e4a7aa0a8e41abf892d87007390e82e83406d808000f01a5',
+    'closure-tie-9--1': 'e37300c182c7f18b333191c0b076f83f457e826cbdf8c5d5b02c8fe6113ad1c6',
+    'closure-tie-9--1-int': 'e37300c182c7f18b333191c0b076f83f457e826cbdf8c5d5b02c8fe6113ad1c6',
+    'plat-tie-3--1': '902df820c35f11e524f64cc2cb40065ce0130cd239883915e784baca83b87cf3',
+    'plat-tie-4--1': '481f3a1c95510479533ecaa6f549e530ee602d6ed135a945abb7beab03d78f34',
+    'plat-tie-5--1': '90d53800f3197cf69d22c8c9d3e5303eaa224e2bcdca280ef4ee7309e2e3f51e',
 }
 
 
