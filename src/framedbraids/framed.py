@@ -6,7 +6,8 @@ Every element has a unique normal form t1^f1 ... tn^fn beta with beta a
 plain braid: the twist relation sigma_i t_j = t_(s_i j) sigma_i lets every
 tau letter slide to the far left, relabeling its index by the strand motion
 it passes through. A FramedBraid stores that form as the pair (framings,
-beta). Equality is exact on the vector and Garside on the braid part.
+beta). Equality is exact on the vector and, on the braid part, Garside on
+the middles that remain once the shared prefix and suffix are cancelled.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ half twist, each xi is a permutation braid (a positive braid in which any
 two strands cross at most once) other than the identity or Delta, and each
 consecutive pair is left-weighted: the starting set of x(i+1) is contained
 in the finishing set of xi. Two words are equal in B_n exactly when they
-have identical normal forms.
+have identical normal forms. are_equal normalizes only what is left once
+the syllables both words share at their two ends are cancelled.
 
 Internally a permutation braid is the one-line tuple of its permutation,
 0-based, with the product composed left to right like the words themselves
@@ -194,10 +195,23 @@ def to_normal_form(a: BraidWord) -> GarsideNormalForm:
 
 
 def are_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Decide equality in B_n by comparing normal forms."""
+    """Decide equality in B_n on the unshared middles: B_n is a group, so
+    p x s = p y s exactly when x = y, and identical words are never normalized."""
     if a.n != b.n:
         raise ValueError(f"cannot compare words on {a.n} and {b.n} strands")
-    return to_normal_form(a) == to_normal_form(b)
+    # checked here because shared ends never reach to_normal_form
+    if a.has_tau() or b.has_tau():
+        raise ValueError("word contains tau letters; only B_n words have a Garside form")
+    x, y = a.letters, b.letters
+    lo = hi = 0
+    while lo < min(len(x), len(y)) and x[lo] == y[lo]:
+        lo += 1
+    while lo + hi < min(len(x), len(y)) and x[-1 - hi] == y[-1 - hi]:
+        hi += 1
+    x, y = x[lo : len(x) - hi], y[lo : len(y) - hi]
+    if not x and not y:
+        return True
+    return to_normal_form(BraidWord(a.n, x)) == to_normal_form(BraidWord(b.n, y))
 
 
 def is_identity(a: BraidWord) -> bool:

@@ -57,6 +57,17 @@ def test_eq_unequal_exits_one():
     assert json.loads(proc.stdout) == {"equal": False}
 
 
+def test_eq_cost_follows_the_unshared_middle():
+    # the shared 200000-crossing ends cancel; normalising them takes >10 s
+    frame = "s2^-200000 {} s2^200000"
+    proc = run_cli("eq", "--n", "4", frame.format("s1 s3"), frame.format("s3 s1"), timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"equal": True}
+    proc = run_cli("eq", "--n", "4", frame.format("s1 s3"), frame.format("s1 s3^-1"), timeout=10)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"equal": False}
+
+
 def test_parse_error_exits_two():
     proc = run_cli("closure", "--n", "3", "s5")
     assert proc.returncode == 2

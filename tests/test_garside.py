@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from framedbraids import garside
 from framedbraids.garside import (
     GarsideNormalForm,
     _finishing_set,
@@ -44,6 +45,8 @@ def test_tau_rejected():
         to_normal_form(BraidWord(2, (tau(1),)))
     with pytest.raises(ValueError):
         are_equal(BraidWord(2, (tau(1),)), BraidWord(2))
+    with pytest.raises(ValueError):
+        are_equal(BraidWord(2, (tau(1),)), BraidWord(2, (tau(1),)))
 
 
 def test_strand_mismatch():
@@ -141,3 +144,90 @@ def test_negative_powers_normalize():
 def test_to_word_of_delta_power():
     nf = GarsideNormalForm(3, -2, ())
     assert are_equal(nf.to_word(), invert(concat(delta_word(3), delta_word(3))))
+
+
+def _relator(rng: random.Random, n: int) -> tuple:
+    """A word that is the identity in B_n but not freely trivial."""
+    i = rng.randint(1, n - 1)
+    far = [j for j in range(1, n) if abs(i - j) >= 2]
+    if far and rng.random() < 0.5:
+        j = rng.choice(far)
+        return (sigma(i), sigma(j), sigma(i, -1), sigma(j, -1))
+    if n >= 3:
+        j = i + 1 if i < n - 1 else i - 1
+        return (sigma(i), sigma(j), sigma(i), sigma(j, -1), sigma(i, -1), sigma(j, -1))
+    return (sigma(i), sigma(i, -1))
+
+
+def _middles(rng: random.Random, n: int, kind: int) -> tuple[BraidWord, BraidWord]:
+    """Middles x, y: equal in B_n for kinds 0-3 and 5 (both empty), unequal
+    for 4, and either way for 6 (one side empty) and 7 (independent words)."""
+    i = rng.randint(1, n - 1)
+    x = random_word(rng, n, rng.randint(1, 8))
+    if x.is_empty():
+        x = BraidWord(n, (sigma(i),))
+    units = tuple(x.unit_letters())
+    cut = rng.randint(0, len(units))
+    u, v = units[:cut], units[cut:]
+    if kind == 0:
+        return x, BraidWord(n, units)
+    if kind == 1:
+        return x, BraidWord(n, u + _relator(rng, n) + v)
+    if kind == 2:
+        e = rng.choice((1, -1))
+        return x, BraidWord(n, u + (sigma(i, e), sigma(i, -e)) + v)
+    if kind == 3:
+        i = rng.randint(1, n - 2) if n >= 3 else 1
+        j = i + 1 if n >= 3 else i
+        return (BraidWord(n, u + (sigma(i), sigma(j), sigma(i)) + v),
+                BraidWord(n, u + (sigma(j), sigma(i), sigma(j)) + v))
+    if kind == 4:
+        k = rng.randrange(len(units))
+        flipped = units[:k] + (units[k].inverse(),) + units[k + 1:]
+        return x, BraidWord(n, flipped)
+    if kind == 5:
+        return BraidWord(n), BraidWord(n)
+    if kind == 6:
+        return BraidWord(n), rng.choice((BraidWord(n, _relator(rng, n)), x))
+    return x, random_word(rng, n, rng.randint(0, 8))
+
+
+def test_are_equal_matches_full_normal_forms_on_shared_ends():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for trial in range(3200):
+        n = rng.randint(2, 6)
+        p = random_word(rng, n, rng.randint(0, 6))
+        s = random_word(rng, n, rng.randint(0, 6))
+        x, y = _middles(rng, n, trial % 8)
+        if rng.random() < 0.5:
+            x, y = y, x
+        a, b = concat(concat(p, x), s), concat(concat(p, y), s)
+        expected = to_normal_form(a) == to_normal_form(b)
+        assert are_equal(a, b) == expected, (a, b)
+        seen[expected] += 1
+    assert min(seen.values()) > 800
+
+
+def test_are_equal_normalizes_only_the_unshared_middles(monkeypatch):
+    recorded = []
+    full = garside.to_normal_form
+
+    def spy(word):
+        recorded.append(word)
+        return full(word)
+
+    monkeypatch.setattr(garside, "to_normal_form", spy)
+    p, s = parse("s1^2 s3 s2^-1", 5), parse("s1 s2^3", 5)
+    x, y = parse("s4 s3 s4", 5), parse("s3 s4 s3", 5)
+    assert garside.are_equal(concat(concat(p, x), s), concat(concat(p, y), s))
+    assert recorded == [x, y]
+
+    recorded.clear()
+    assert not garside.are_equal(concat(p, s), concat(concat(p, y), s))
+    assert recorded == [BraidWord(5), y]
+
+    recorded.clear()
+    word = concat(concat(p, x), s)
+    assert garside.are_equal(word, BraidWord(5, word.letters))
+    assert recorded == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from framedbraids.framed import FramedBraid, framed_equal, multiply, normalize
+from framedbraids.framed import FramedBraid, framed_equal, inverse, multiply, normalize
 from framedbraids.hilden import (
     CLASSICAL_SUITE,
     FRAMED_SUITE,
@@ -121,6 +121,41 @@ def test_corrupted_entry_fails_suite():
 
     rhs = multiply(inverse(d.entries["omega_1"]), normalize(parse("s1", 2 * n)))
     assert framed_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "suite,builder,name,wrong",
+    [
+        # Theta_1 on the wrong pair of strands, theta_1 twisting it there
+        (CLASSICAL_SUITE, GeneratorDictionary.classical, "Theta_1", "s2"),
+        (FRAMED_SUITE, GeneratorDictionary.framed, "theta_1", "t1 s2"),
+    ],
+)
+def test_conjugated_suite_holds_and_catches_a_corrupted_entry(suite, builder, name, wrong):
+    # g^-1 L g = g^-1 R g shares g at both ends; a decision that cancelled
+    # more than the shared ends would pass the corrupted dictionary too
+    n = 3
+    rng = random.Random(71)
+    for _ in range(3):
+        word = " ".join(
+            [f"t{rng.randint(1, 2 * n)}^{rng.choice((1, -1))}"]
+            + [f"s{rng.randint(1, 2 * n - 1)}^{rng.choice((1, -1))}" for _ in range(3)]
+        )
+        g = normalize(parse(word, 2 * n))
+        g_inv = inverse(g)
+        entries = {k: multiply(multiply(g_inv, h), g) for k, h in builder(n).entries.items()}
+        reports = verify_relation_suite(GeneratorDictionary(n, entries), suite)
+        assert reports and all(r.holds and not r.skipped for r in reports), word
+
+        entries[name] = multiply(multiply(g_inv, normalize(parse(wrong, 2 * n))), g)
+        reports = verify_relation_suite(GeneratorDictionary(n, entries), suite)
+        # some relation must fail on the braid part alone, with its two
+        # sides still sharing the first syllable that g contributes
+        assert any(
+            not r.holds and r.lhs.framings == r.rhs.framings
+            and r.lhs.beta.letters[0] == r.rhs.beta.letters[0]
+            for r in reports
+        ), word
 
 
 def test_suite_instances_deduplicated():
