@@ -7,6 +7,7 @@ from .words import (
     Permutation,
     concat,
     exponent_sum,
+    include_natural,
     invert,
     permutation_of,
     sigma,
@@ -19,7 +20,6 @@ from .framed import (
     inverse,
     multiply,
     normalize,
-    project_pi,
     spell,
 )
 from .closure import LinkSignature, closure_signature, knot_framing, signatures_match
@@ -31,7 +31,6 @@ from .moves import (
     apply_RL_move,
     apply_RM_move,
     conjugate,
-    include_natural,
     over_inclusion,
     solve_framing_transfer,
     tau_conjugation_as_RL_sequence,
@@ -42,7 +41,6 @@ from .plat import (
     double_coset_move,
     framed_stabilization,
     plat_signature,
-    plat_signatures_match,
 )
 from .hilden import (
     GeneratorDictionary,
@@ -50,7 +48,6 @@ from .hilden import (
     framed_hilden_generator,
     hilden_generator,
     plat_trivializes,
-    pure_framed_generator,
     verify_relation_suite,
 )
 from .parser import WordParseError, format_word, parse

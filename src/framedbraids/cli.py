@@ -137,6 +137,8 @@ def _run(args) -> int:
         if args.dict_path:
             with open(args.dict_path, encoding="utf-8") as handle:
                 raw = json.load(handle)
+            if not (isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values())):
+                raise ValueError("--dict needs a JSON object mapping names to words")
             extra = {
                 name: normalize(parse(text, 2 * args.n)) for name, text in raw.items()
             }
@@ -160,8 +162,15 @@ def _run(args) -> int:
                 data = json.load(handle)
         else:
             data = json.load(sys.stdin)
-        p = Permutation(tuple(data["permutation"]))
-        r = solve_framing_transfer(p, tuple(data["delta"]), tuple(data["kappa"]))
+        keys = ("permutation", "delta", "kappa")
+        # bool is an int subclass, so test the exact type
+        if not (isinstance(data, dict) and all(
+            isinstance(data.get(k), list) and all(type(x) is int for x in data[k])
+            for k in keys
+        )):
+            raise ValueError("transfer needs a JSON object with integer lists " + ", ".join(keys))
+        p, delta, kappa = (tuple(data[k]) for k in keys)
+        r = solve_framing_transfer(Permutation(p), delta, kappa)
         _emit({"solvable": r is not None, "r": list(r) if r is not None else None}, pretty)
         return 0
     if args.command == "fuzz":

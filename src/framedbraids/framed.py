@@ -43,11 +43,6 @@ class FramedBraid:
     def identity(cls, n: int) -> FramedBraid:
         return cls(n, (0,) * n, BraidWord.identity(n))
 
-    def __mul__(self, other: FramedBraid) -> FramedBraid:
-        if isinstance(other, FramedBraid):
-            return multiply(self, other)
-        return NotImplemented
-
 
 def normalize(w: BraidWord) -> FramedBraid:
     """Push every tau letter to the far left of a mixed word.
@@ -100,11 +95,6 @@ def framed_equal(a: FramedBraid, b: FramedBraid) -> bool:
     if a.n != b.n:
         raise ValueError(f"cannot compare elements of RB_{a.n} and RB_{b.n}")
     return a.framings == b.framings and garside.are_equal(a.beta, b.beta)
-
-
-def project_pi(a: FramedBraid) -> BraidWord:
-    """The projection RB_n -> B_n that forgets all framing."""
-    return a.beta
 
 
 def include_natural(a: FramedBraid, m: int) -> FramedBraid:

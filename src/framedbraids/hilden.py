@@ -91,11 +91,6 @@ def framed_hilden_generator(name: str, i: int, n: int) -> FramedBraid:
     return builtin_generator(FRAMED_SUITE, name, i, n)
 
 
-def pure_framed_generator(name: str, k: int, n: int) -> FramedBraid:
-    """The built-in pure framed generator g_k or omega_k of PRH_2n."""
-    return builtin_generator(PURE_SUITE, name, k, n)
-
-
 _NAME_ALIASES = {"θ": "theta", "Θ": "Theta", "ω": "omega", "Ω": "omega"}
 
 

@@ -44,7 +44,7 @@ def parse(text: str, n: int) -> BraidWord:
         kind = SIGMA if ch == "s" else "tau"
         pos += 1
         index_start = pos
-        while pos < end and text[pos].isdigit():
+        while pos < end and text[pos] in "0123456789":
             pos += 1
         if pos == index_start:
             raise WordParseError("generator needs a decimal index", pos)
@@ -58,7 +58,7 @@ def parse(text: str, n: int) -> BraidWord:
             if pos < end and text[pos] in "+-":
                 pos += 1
             digits_start = pos
-            while pos < end and text[pos].isdigit():
+            while pos < end and text[pos] in "0123456789":
                 pos += 1
             if pos == digits_start:
                 raise WordParseError("exponent needs decimal digits", exp_start)

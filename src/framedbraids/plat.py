@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._canon import canonical_order
+# Unused here: bench/tracing.py wraps plat.with_adjusted_framing by name.
 from .closure import crossing_sums, with_adjusted_framing
-from .closure import signatures_match as plat_signatures_match
 from .framed import FramedBraid, multiply
 from .moves import stabilize
 from .words import permutation_of
@@ -54,9 +54,9 @@ class PlatSignature:
 
 
 def _components_and_directions(
-    b: FramedBraid, reverse: bool = False
+    b: FramedBraid,
 ) -> tuple[list[list[tuple[int, str]]], dict[int, int]]:
-    """Traverse every plat component; reverse flips all traversals (tests)."""
+    """Traverse every plat component from its smallest top endpoint."""
     perm = permutation_of(b.beta)
     inv = perm.inverse()
 
@@ -72,7 +72,7 @@ def _components_and_directions(
         strand, down = start, True
         while True:
             walk.append((strand, "down" if down else "up"))
-            direction[strand] = (1 if down else -1) * (-1 if reverse else 1)
+            direction[strand] = 1 if down else -1
             if down:
                 exit_end = perm.apply(strand)
                 strand = inv.apply(partner(exit_end))
@@ -86,11 +86,11 @@ def _components_and_directions(
     return traversals, direction
 
 
-def plat_signature(b: FramedBraid, _reverse: bool = False) -> PlatSignature:
+def plat_signature(b: FramedBraid) -> PlatSignature:
     """Components, framings and |linking| of the plat closure of b."""
     if b.n % 2 != 0:
         raise ValueError(f"plat closure needs an even ribbon count, got {b.n}")
-    traversals, direction = _components_and_directions(b, reverse=_reverse)
+    traversals, direction = _components_and_directions(b)
     comp_of = {
         strand: c for c, walk in enumerate(traversals) for strand, _ in walk
     }
@@ -127,25 +127,18 @@ def is_plat_trivial(b: FramedBraid) -> bool:
     )
 
 
-def double_coset_move(
-    b: FramedBraid, h1: FramedBraid, h2: FramedBraid, unchecked: bool = False
-) -> FramedBraid:
+def double_coset_move(b: FramedBraid, h1: FramedBraid, h2: FramedBraid) -> FramedBraid:
     """The move b -> h1 b h2 for h1, h2 in the framed cap stabilizer.
 
-    Unless unchecked is set, both factors must pass the plat-triviality
-    test, which every product of the built-in framed Hilden generators
-    does; arbitrary elements can change the plat closure and are only
-    admitted explicitly.
+    Both factors must pass the plat-triviality test, which every product of
+    the built-in framed Hilden generators does; arbitrary elements can
+    change the plat closure, so they are refused.
     """
     if not (b.n == h1.n == h2.n):
         raise ValueError("double coset move needs equal ribbon counts")
-    if not unchecked:
-        for name, h in (("h1", h1), ("h2", h2)):
-            if not is_plat_trivial(h):
-                raise ValueError(
-                    f"{name} does not look like a cap stabilizer element; "
-                    "pass unchecked=True to force the move"
-                )
+    for name, h in (("h1", h1), ("h2", h2)):
+        if not is_plat_trivial(h):
+            raise ValueError(f"{name} does not look like a cap stabilizer element")
     return multiply(multiply(h1, b), h2)
 
 

@@ -125,11 +125,6 @@ class BraidWord:
     def has_tau(self) -> bool:
         return any(letter.kind == TAU for letter in self.letters)
 
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if isinstance(other, BraidWord):
-            return concat(self, other)
-        return NotImplemented
-
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     """Product of words: b hung below a, freely reduced."""
@@ -173,15 +168,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> Permutation:
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int) -> Permutation:
-        """The adjacent transposition (i, i+1) in S_n."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"transposition index {i} out of range for n={n}")
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
 
     def apply(self, j: int) -> int:
         return self.images[j - 1]

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "framedbraids"]
 
 
@@ -114,6 +116,19 @@ def test_transfer_command(tmp_path):
     assert json.loads(proc.stdout) == {"solvable": False, "r": None}
 
 
+@pytest.mark.parametrize("data", [
+    {"permutation": [1], "delta": 5, "kappa": [0]},
+    [1],
+    {"permutation": [2.0, 1], "delta": [0, 0], "kappa": [0, 0]},
+    {"permutation": [2, 1], "delta": [0.5, 0], "kappa": [0, 0.5]},
+    {"permutation": [2, 1], "delta": [True, 0], "kappa": [0, 1]},
+], ids=["scalar-delta", "top-level-list", "float-permutation", "float-vectors", "bool-entry"])
+def test_transfer_malformed_input_exits_two(data):
+    proc = run_cli("transfer", stdin_text=json.dumps(data))
+    assert proc.returncode == 2, proc.stderr
+    assert "integer lists" in json.loads(proc.stdout)["error"]["message"]
+
+
 def test_fuzz_determinism_and_seed_env():
     args = ("fuzz", "--seed", "5", "--trials", "40")
     first = run_cli(*args)
@@ -148,6 +163,15 @@ def test_hilden_verify_with_user_dictionary(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert all(not r["skipped"] for r in payload)
+
+
+@pytest.mark.parametrize("raw", [[1], {"x": 5}], ids=["list", "non-string-word"])
+def test_hilden_verify_malformed_dictionary_exits_two(tmp_path, raw):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("hilden-verify", "--suite", "pure_framed", "--n", "2", "--dict", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "--dict" in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_pretty_flag():

@@ -9,7 +9,6 @@ from framedbraids.framed import (
     inverse,
     multiply,
     normalize,
-    project_pi,
     spell,
 )
 from framedbraids.garside import are_equal
@@ -76,9 +75,9 @@ def test_inverse_examples():
 
 
 def test_project_pi():
-    assert project_pi(FramedBraid(2, (5, -2), parse("s1", 2))) == parse("s1", 2)
-    assert project_pi(FramedBraid.identity(3)).is_empty()
-    assert project_pi(normalize(parse("t1 s1 t2^-1", 2))) == parse("s1", 2)
+    # the projection RB_n -> B_n forgets the twists: it is the beta field
+    assert normalize(parse("t1 s1 t2^-1", 2)).beta == parse("s1", 2)
+    assert normalize(parse("t1 t3^-2", 3)).beta.is_empty()
 
 
 def test_multiply_mismatch():
@@ -155,9 +154,7 @@ def test_project_pi_homomorphism():
         n = rng.randint(2, 4)
         a = random_framed(rng, n, rng.randint(0, 8))
         b = random_framed(rng, n, rng.randint(0, 8))
-        assert are_equal(
-            project_pi(multiply(a, b)), concat(project_pi(a), project_pi(b))
-        )
+        assert are_equal(multiply(a, b).beta, concat(a.beta, b.beta))
 
 
 def test_include_natural():

@@ -8,24 +8,24 @@ from framedbraids.hilden import (
     FRAMED_SUITE,
     PURE_SUITE,
     GeneratorDictionary,
+    builtin_generator,
     canonical_name,
     framed_hilden_generator,
     hilden_generator,
     plat_trivializes,
-    pure_framed_generator,
     suite_instances,
     verify_relation_suite,
 )
 from framedbraids.parser import parse
 from framedbraids.words import exponent_sum, permutation_of
-from framedbraids.framed import spell, project_pi
+from framedbraids.framed import spell
 from framedbraids.garside import are_equal
 
 
 def test_classical_generator_words():
-    assert project_pi(hilden_generator("Theta", 1, 2)) == parse("s1", 4)
-    assert project_pi(hilden_generator("P", 1, 2)) == parse("s2 s1 s3^-1 s2^-1", 4)
-    assert project_pi(hilden_generator("S", 1, 2)) == parse("s2 s1 s3 s2", 4)
+    assert hilden_generator("Theta", 1, 2).beta == parse("s1", 4)
+    assert hilden_generator("P", 1, 2).beta == parse("s2 s1 s3^-1 s2^-1", 4)
+    assert hilden_generator("S", 1, 2).beta == parse("s2 s1 s3 s2", 4)
     assert hilden_generator("P", 1, 2).framings == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         hilden_generator("P", 2, 2)
@@ -41,11 +41,11 @@ def test_framed_generator_words():
     for name in ("p", "s"):
         framed = framed_hilden_generator(name, 1, 3)
         classical = hilden_generator(name.upper(), 1, 3)
-        assert are_equal(project_pi(framed), project_pi(classical))
+        assert are_equal(framed.beta, classical.beta)
 
 
 def test_pure_generator_words():
-    g = pure_framed_generator("g", 1, 2)
+    g = builtin_generator(PURE_SUITE, "g", 1, 2)
     assert g.framings == (1, 1, 0, 0) and g.beta == parse("s1^2", 4)
     assert permutation_of(g.beta).is_identity()
     assert exponent_sum(spell(g)) == 4
@@ -200,17 +200,17 @@ def test_projection_identity_on_generators():
     for n in (2, 3):
         for i in range(1, n):
             assert are_equal(
-                project_pi(framed_hilden_generator("p", i, n)),
-                project_pi(hilden_generator("P", i, n)),
+                framed_hilden_generator("p", i, n).beta,
+                hilden_generator("P", i, n).beta,
             )
             assert are_equal(
-                project_pi(framed_hilden_generator("s", i, n)),
-                project_pi(hilden_generator("S", i, n)),
+                framed_hilden_generator("s", i, n).beta,
+                hilden_generator("S", i, n).beta,
             )
         for k in range(1, n + 1):
             assert are_equal(
-                project_pi(framed_hilden_generator("theta", k, n)),
-                project_pi(hilden_generator("Theta", k, n)),
+                framed_hilden_generator("theta", k, n).beta,
+                hilden_generator("Theta", k, n).beta,
             )
 
 

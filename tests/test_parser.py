@@ -55,6 +55,15 @@ def test_error_offsets():
     assert info.value.offset == 3
 
 
+def test_non_ascii_digits_rejected_with_offset():
+    # str.isdigit() accepts these; the grammar takes only 0-9
+    for text, offset in (("s\u0661", 1), ("s1 s2^\u0662", 6), ("s1^-\u0663", 3),
+                         ("s\u00b2", 1), ("s1^\u00b2", 3), ("s1\u0662", 2)):
+        with pytest.raises(WordParseError) as info:
+            parse(text, 3)
+        assert info.value.offset == offset, text
+
+
 def test_explicit_positive_exponent():
     assert parse("s1^+2", 2).letters == (sigma(1, 2),)
 

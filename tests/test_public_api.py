@@ -1,0 +1,57 @@
+"""The package exports one name per idea; aliases that only restated another
+name are gone, and the names the benchmark and acceptance check 09 bind
+stay."""
+
+import inspect
+
+import pytest
+
+import framedbraids
+from framedbraids import closure, framed, hilden, plat, words
+
+EXPORTS = [
+    "BraidWord", "FramedBraid", "GarsideNormalForm", "GeneratorDictionary",
+    "Letter", "LinkSignature", "MoveDescriptor", "Permutation", "PlatSignature",
+    "RelationReport", "WordParseError", "apply_L_move", "apply_M_move",
+    "apply_RL_move", "apply_RM_move", "apply_integer_RL_move", "are_equal",
+    "closure", "closure_signature", "concat", "conjugate", "delta_word",
+    "double_coset_move", "exponent_sum", "format_word", "framed", "framed_equal",
+    "framed_hilden_generator", "framed_stabilization", "garside", "hilden",
+    "hilden_generator", "include_natural", "inverse", "invert", "is_identity",
+    "knot_framing", "moves", "multiply", "normalize", "over_inclusion", "parse",
+    "parser", "permutation_of", "plat", "plat_signature", "plat_trivializes",
+    "sigma", "signatures_match", "solve_framing_transfer", "spell", "tau",
+    "tau_conjugation_as_RL_sequence", "to_normal_form", "under_inclusion",
+    "verify_relation_suite", "words",
+]
+
+
+def test_exports_are_pinned():
+    assert sorted(framedbraids.__all__) == EXPORTS
+    assert framedbraids.include_natural is words.include_natural
+
+
+@pytest.mark.parametrize("owner, name", [
+    (plat, "plat_signatures_match"),      # closure.signatures_match
+    (hilden, "pure_framed_generator"),    # builtin_generator(PURE_SUITE, ...)
+    (framed, "project_pi"),               # FramedBraid.beta
+    (words.BraidWord, "__mul__"),         # concat
+    (framed.FramedBraid, "__mul__"),      # multiply
+    (words.Permutation, "transposition"),
+])
+def test_alias_is_gone(owner, name):
+    assert name not in vars(owner)
+
+
+def test_test_only_options_are_gone():
+    assert list(inspect.signature(plat.double_coset_move).parameters) == ["b", "h1", "h2"]
+    assert list(inspect.signature(plat.plat_signature).parameters) == ["b"]
+
+
+def test_names_bound_by_the_benchmark_and_check_09_stay():
+    assert plat.with_adjusted_framing is closure.with_adjusted_framing
+    assert plat.is_plat_trivial is hilden.plat_trivializes
+    for name in ("hilden_generator", "framed_hilden_generator", "builtin_generator"):
+        assert callable(getattr(hilden, name))
+    for name in ("builtin", "classical", "framed", "pure"):
+        assert callable(getattr(hilden.GeneratorDictionary, name))
