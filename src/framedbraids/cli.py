@@ -19,7 +19,7 @@ from .closure import closure_signature
 from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
 from .moves import MoveDescriptor, apply_move, solve_framing_transfer
-from .parser import WordParseError, format_word, parse
+from .parser import WordParseError, format_word, parse, signed_decimal
 from .plat import plat_signature
 from .words import Permutation
 
@@ -43,44 +43,53 @@ def _signature_json(sig, matrix_name: str) -> dict:
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors, like all bad input, print an error JSON and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _emit({"error": {"message": message}}, False)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="fbk", description="exact computation with framed braids"
     )
     top.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = top.add_subparsers(dest="command", required=True)
 
     nf = sub.add_parser("nf", help="framed normal form of a word")
-    nf.add_argument("--n", type=int, required=True)
+    nf.add_argument("--n", type=signed_decimal, required=True)
     nf.add_argument("word")
 
     eq = sub.add_parser("eq", help="decide equality of two words in RB_n")
-    eq.add_argument("--n", type=int, required=True)
+    eq.add_argument("--n", type=signed_decimal, required=True)
     eq.add_argument("word1")
     eq.add_argument("word2")
 
     closure = sub.add_parser("closure", help="standard closure invariants")
-    closure.add_argument("--n", type=int, required=True)
+    closure.add_argument("--n", type=signed_decimal, required=True)
     closure.add_argument("--integer-framing", action="store_true")
     closure.add_argument("word")
 
     plat = sub.add_parser("plat", help="plat closure invariants")
-    plat.add_argument("--n", type=int, required=True)
+    plat.add_argument("--n", type=signed_decimal, required=True)
     plat.add_argument("word")
 
     move = sub.add_parser("move", help="apply one move to a word")
-    move.add_argument("--n", type=int, required=True)
+    move.add_argument("--n", type=signed_decimal, required=True)
     move.add_argument("--kind", required=True)
-    move.add_argument("--split", type=int, default=0)
-    move.add_argument("--index", type=int, default=1)
-    move.add_argument("--sign", type=int, default=1, choices=(-1, 1))
-    move.add_argument("--k", type=int, default=0, choices=(-1, 0, 1))
+    move.add_argument("--split", type=signed_decimal, default=0)
+    move.add_argument("--index", type=signed_decimal, default=1)
+    move.add_argument("--sign", type=signed_decimal, default=1, choices=(-1, 1))
+    move.add_argument("--k", type=signed_decimal, default=0, choices=(-1, 0, 1))
     move.add_argument("--conjugator", default=None, help="word for Conjugation moves")
     move.add_argument("word")
 
     hv = sub.add_parser("hilden-verify", help="verify a relation suite")
     hv.add_argument("--suite", required=True, choices=hilden.SUITES)
-    hv.add_argument("--n", type=int, required=True)
+    hv.add_argument("--n", type=signed_decimal, required=True)
     hv.add_argument("--dict", dest="dict_path", default=None,
                     help="JSON file of extra generator words in the DSL")
 
@@ -89,12 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="JSON file with permutation, delta, kappa (default stdin)")
 
     fuzz = sub.add_parser("fuzz", help="randomized move-invariance trials")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--trials", type=int, default=100)
-    fuzz.add_argument("--n-min", type=int, default=1)
-    fuzz.add_argument("--n-max", type=int, default=5)
-    fuzz.add_argument("--len-min", type=int, default=0)
-    fuzz.add_argument("--len-max", type=int, default=12)
+    fuzz.add_argument("--seed", type=signed_decimal, default=0)
+    fuzz.add_argument("--trials", type=signed_decimal, default=100)
+    fuzz.add_argument("--n-min", type=signed_decimal, default=1)
+    fuzz.add_argument("--n-max", type=signed_decimal, default=5)
+    fuzz.add_argument("--len-min", type=signed_decimal, default=0)
+    fuzz.add_argument("--len-max", type=signed_decimal, default=12)
     fuzz.add_argument("--moves", default=None,
                       help="comma list kind=weight; default mixes the framed moves")
     return top
@@ -177,12 +186,12 @@ def _run(args) -> int:
         seed = args.seed
         env_seed = os.environ.get("FBK_SEED")
         if env_seed is not None:
-            seed = int(env_seed)
+            seed = signed_decimal(env_seed)
         if args.moves:
             mix = []
             for chunk in args.moves.split(","):
                 kind, _, weight = chunk.partition("=")
-                mix.append((kind.strip(), int(weight) if weight else 1))
+                mix.append((kind.strip(), signed_decimal(weight) if weight else 1))
             move_mix = tuple(mix)
         else:
             move_mix = DEFAULT_MIX

@@ -70,7 +70,7 @@ def normalize(w: BraidWord) -> FramedBraid:
 
 def spell(a: FramedBraid) -> BraidWord:
     """The word t1^f1 ... tn^fn beta spelling the normal form."""
-    prefix = tuple(tau(j, e) for j, e in enumerate(a.framings, start=1) if e != 0)
+    prefix = tuple([tau(j, e) for j, e in enumerate(a.framings, start=1) if e])
     return BraidWord(a.n, prefix + a.beta.letters)
 
 
@@ -78,10 +78,9 @@ def multiply(a: FramedBraid, b: FramedBraid) -> FramedBraid:
     """Semidirect product: b's twists slide left through a's braid part."""
     if a.n != b.n:
         raise ValueError(f"cannot multiply elements of RB_{a.n} and RB_{b.n}")
-    p = permutation_of(a.beta)
-    framings = tuple(
-        a.framings[i] + b.framings[p.apply(i + 1) - 1] for i in range(a.n)
-    )
+    framings = tuple([
+        f + b.framings[j - 1] for f, j in zip(a.framings, permutation_of(a.beta).images)
+    ])
     return FramedBraid(a.n, framings, concat(a.beta, b.beta))
 
 

@@ -29,11 +29,13 @@ dictionary entry yields a skipped report, never a silent pass.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .framed import FramedBraid, framed_equal, multiply, inverse, normalize
+from .parser import signed_decimal
 from .plat import is_plat_trivial as plat_trivializes
 from .words import BraidWord, Letter, sigma, tau
 
@@ -72,8 +74,10 @@ def top_index(name: str, n: int) -> int:
     return n + GENERATORS[name][0]
 
 
+@functools.lru_cache(maxsize=1024)
 def builtin_generator(suite: str, name: str, i: int, n: int) -> FramedBraid:
-    """The built-in generator name_i of the suite's group inside RB_2n."""
+    """The built-in generator name_i of the suite's group inside RB_2n; memoized,
+    since a FramedBraid is immutable and fuzz trials draw the same few often."""
     if name not in SUITE_GENERATORS[suite]:
         raise ValueError(f"unknown {suite} generator {name!r}")
     if not 1 <= i <= top_index(name, n):
@@ -104,7 +108,7 @@ def canonical_name(name: str) -> str:
     if "{" in name:
         head, _, rest = name.partition("_")
         pair = rest.strip("{}").replace(" ", "")
-        a, b = (int(x) for x in pair.split(","))
+        a, b = (signed_decimal(x) for x in pair.split(","))
         lo, hi = min(a, b), max(a, b)
         return f"{head}_{{{lo},{hi}}}"
     return name
@@ -118,7 +122,12 @@ class GeneratorDictionary:
     entries: dict[str, FramedBraid]
 
     def __post_init__(self):
-        self.entries = {canonical_name(k): v for k, v in self.entries.items()}
+        spelled: dict[str, str] = {}  # canonical name -> the key spelling it
+        for key in self.entries:
+            name = canonical_name(key)
+            if spelled.setdefault(name, key) != key:
+                raise ValueError(f"names {spelled[name]!r} and {key!r} both mean {name!r}")
+        self.entries = {name: self.entries[key] for name, key in spelled.items()}
         for name, value in self.entries.items():
             if value.n != 2 * self.n:
                 raise ValueError(
@@ -147,9 +156,9 @@ class GeneratorDictionary:
         return cls.builtin(PURE_SUITE, n)
 
     def with_entries(self, extra: dict[str, FramedBraid]) -> GeneratorDictionary:
-        merged = dict(self.entries)
-        merged.update({canonical_name(k): v for k, v in extra.items()})
-        return GeneratorDictionary(self.n, merged)
+        """A copy in which the extra entries replace the same-named ones."""
+        added = GeneratorDictionary(self.n, extra).entries
+        return GeneratorDictionary(self.n, {**self.entries, **added})
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .framed import FramedBraid, include_natural as include_framed, inverse, multiply, normalize, spell
-from .words import BraidWord, Letter, Permutation, concat, include_natural, sigma, tau
+from .words import BraidWord, Letter, Permutation, concat, sigma, tau
 
 L_KINDS = ("L_over", "L_under")
 RL_KINDS = ("RL_over", "RL_under")
@@ -109,18 +109,11 @@ def _dragged_inclusion(a: BraidWord, i: int, over: bool) -> BraidWord:
     return BraidWord(n + 1, letters)
 
 
-def _split(a: BraidWord, split: int) -> tuple[BraidWord, BraidWord]:
-    if not 0 <= split <= len(a.letters):
-        raise ValueError(
-            f"split {split} out of range for a word of {len(a.letters)} letters"
-        )
-    return BraidWord(a.n, a.letters[:split]), BraidWord(a.n, a.letters[split:])
-
-
 def _l_move_letters(
-    a1: BraidWord, a2: BraidWord, i: int, sign: int, over: bool, twist: int
-) -> BraidWord:
-    """The dragged word shared by the L, RL and integer RL families.
+    a: BraidWord, split: int, i: int, sign: int, over: bool, twist: int
+) -> tuple[Letter, ...]:
+    """The dragged word on n+1 strands shared by the L, RL and integer RL
+    families, for a cut after the first split letters of a.
 
     twist is the exponent of the compensating twist inserted before the new
     crossing; 0 gives the classical word. In the un-dragged form that twist
@@ -130,7 +123,9 @@ def _l_move_letters(
     index must follow the ribbon or the compensation lands on a bystander
     component and the framed closure changes.
     """
-    n = a1.n
+    n = a.n
+    if not 0 <= split <= len(a.letters):
+        raise ValueError(f"split {split} out of range for a word of {len(a.letters)} letters")
     if not 1 <= i <= n:
         raise ValueError(f"L-move position {i} out of range for n={n}")
     conj = -1 if over else 1
@@ -138,16 +133,15 @@ def _l_move_letters(
     if twist != 0:
         middle.append(tau(n, twist))
     middle.append(sigma(n, sign))
-    letters = (
+    return (
         tuple(_run(i + 1, n, conj))
-        + include_natural(a1, 1).letters
+        + a.letters[:split]
         + tuple(_run(i, n - 1, conj))
         + tuple(middle)
         + tuple(reversed(_run(i, n - 1, -conj)))
-        + include_natural(a2, 1).letters
+        + a.letters[split:]
         + tuple(reversed(_run(i + 1, n, -conj)))
     )
-    return BraidWord(n + 1, letters)
 
 
 def _check_applicable(d: MoveDescriptor, kinds: tuple[str, ...], applier: str) -> None:
@@ -164,8 +158,9 @@ def apply_L_move(a: BraidWord, d: MoveDescriptor) -> BraidWord:
     the framed variant exists.
     """
     _check_applicable(d, L_KINDS, "apply_L_move")
-    a1, a2 = _split(a, d.split)
-    return _l_move_letters(a1, a2, d.index, d.sign, d.kind == "L_over", twist=0)
+    return BraidWord(a.n + 1, _l_move_letters(
+        a, d.split, d.index, d.sign, d.kind == "L_over", twist=0
+    ))
 
 
 def apply_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
@@ -175,26 +170,21 @@ def apply_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     to the cut component, so the blackboard closure signature is preserved.
     """
     _check_applicable(d, RL_KINDS, "apply_RL_move")
-    word = spell(a)
-    a1, a2 = _split(word, d.split)
     moved = _l_move_letters(
-        a1, a2, d.index, d.sign, d.kind == "RL_over", twist=-d.sign
+        spell(a), d.split, d.index, d.sign, d.kind == "RL_over", twist=-d.sign
     )
-    return normalize(moved)
+    return normalize(BraidWord(a.n + 1, moved))
 
 
 def apply_integer_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     """Integer framed L-move: wrap in t_(i+1)^k ... t_(i+1)^-k, k in {-1,0,1}."""
     _check_applicable(d, INT_RL_KINDS, "apply_integer_RL_move")
-    word = spell(a)
-    a1, a2 = _split(word, d.split)
-    core = _l_move_letters(
-        a1, a2, d.index, d.sign, d.kind == "IntRL_over", twist=0
+    wrapped = _l_move_letters(
+        spell(a), d.split, d.index, d.sign, d.kind == "IntRL_over", twist=0
     )
-    wrapped: tuple[Letter, ...] = core.letters
     if d.k != 0:
         wrapped = (tau(d.index + 1, d.k),) + wrapped + (tau(d.index + 1, -d.k),)
-    return normalize(BraidWord(core.n, wrapped))
+    return normalize(BraidWord(a.n + 1, wrapped))
 
 
 def stabilize(a: FramedBraid, m: int, sign: int, framed: bool) -> FramedBraid:

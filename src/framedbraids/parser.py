@@ -7,6 +7,8 @@ Grammar (bytes, ASCII only):
     term := gen exp?
     gen  := ('s' | 't') nonzero-decimal
     exp  := '^' signed-decimal
+    signed-decimal := ('+' | '-')? digit+
+    digit := '0' | '1' | ... | '9'
     ws   := space | tab
 
 Errors carry the byte offset of the offending token. Index bounds are
@@ -26,6 +28,16 @@ class WordParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+def signed_decimal(text: str) -> int:
+    """A whole signed-decimal of the grammar as an int; the CLI reads every
+    integer with it. int() alone would also take non-ASCII digits, '_'
+    separators and surrounding whitespace."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or digits.strip("0123456789"):
+        raise ValueError(f"expected a signed decimal integer, got {text!r}")
+    return int(text)
 
 
 def parse(text: str, n: int) -> BraidWord:

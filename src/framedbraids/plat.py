@@ -5,14 +5,15 @@ the framed Birman move set.
 The plat closure caps adjacent endpoint pairs (2i-1, 2i) at the top and the
 bottom of a 2n-ribbon braid. Each component is found by walking the cap
 incidences from its smallest unvisited top endpoint, entering the braid
-downward, which assigns every strand an up or down direction. The crossing
-scan of the closure module then runs with those directions, one syllable
-at a time: a crossing keeps its letter sign when the two strands are
-traversed the same way and flips it otherwise; self-crossings accumulate
-into a component's self-writhe, and cross-component sums halve into linking
-numbers, exposed as absolute values because a plat closure carries no
-preferred orientation. Per-component framing is the twist total plus the
-self-writhe, which is invariant under reversing any component's traversal.
+downward, which assigns every strand an up or down direction. The walk
+reads the permutation off the closure module's crossing scan, whose strand
+pair totals then count with those directions: a crossing keeps its letter
+sign when the two strands are traversed the same way and flips it
+otherwise; self-crossings accumulate into a component's self-writhe, and
+cross-component sums halve into linking numbers, exposed as absolute values
+because a plat closure carries no preferred orientation. Per-component
+framing is the twist total plus the self-writhe, which is invariant under
+reversing any component's traversal.
 
 The cap tangle itself is never materialized; only the pairing rule exists.
 Like the closure signatures, PlatSignature is a necessary invariant family
@@ -25,10 +26,9 @@ from dataclasses import dataclass
 
 from ._canon import canonical_order
 # Unused here: bench/tracing.py wraps plat.with_adjusted_framing by name.
-from .closure import crossing_sums, with_adjusted_framing
+from .closure import component_sums, crossing_sums, with_adjusted_framing
 from .framed import FramedBraid, multiply
 from .moves import stabilize
-from .words import permutation_of
 
 
 @dataclass(frozen=True)
@@ -53,62 +53,47 @@ class PlatSignature:
         return tuple(c.framing for c in self.components)
 
 
-def _components_and_directions(
-    b: FramedBraid,
-) -> tuple[list[list[tuple[int, str]]], dict[int, int]]:
-    """Traverse every plat component from its smallest top endpoint."""
-    perm = permutation_of(b.beta)
-    inv = perm.inverse()
-
-    def partner(e: int) -> int:
-        return e + 1 if e % 2 == 1 else e - 1
-
-    traversals: list[list[tuple[int, str]]] = []
-    direction: dict[int, int] = {}
-    for start in range(1, b.n + 1):
-        if start in direction:
-            continue
-        walk: list[tuple[int, str]] = []
-        strand, down = start, True
-        while True:
-            walk.append((strand, "down" if down else "up"))
-            direction[strand] = 1 if down else -1
-            if down:
-                exit_end = perm.apply(strand)
-                strand = inv.apply(partner(exit_end))
-                down = False
-            else:
-                strand = partner(strand)
-                down = True
-            if strand == start and down:
-                break
-        traversals.append(walk)
-    return traversals, direction
-
-
 def plat_signature(b: FramedBraid) -> PlatSignature:
     """Components, framings and |linking| of the plat closure of b."""
     if b.n % 2 != 0:
         raise ValueError(f"plat closure needs an even ribbon count, got {b.n}")
-    traversals, direction = _components_and_directions(b)
-    comp_of = {
-        strand: c for c, walk in enumerate(traversals) for strand, _ in walk
-    }
-    self_writhe, linking = crossing_sums(b.beta, comp_of, direction)
+    pos2strand, pairs = crossing_sums(b.beta)
+    exit_of = sorted(range(b.n + 1), key=pos2strand.__getitem__)  # the inverse map
+    # Walk every component from its smallest top endpoint: down a strand,
+    # across the bottom cap at its exit, up the strand entering there,
+    # across a top cap. The cap partner of endpoint e is ((e - 1) ^ 1) + 1.
+    comp_of = [-1] * (b.n + 1)
+    direction = [0] * (b.n + 1)
+    traversals: list[tuple[tuple[int, str], ...]] = []
+    twists: list[int] = []
+    for start in range(1, b.n + 1):
+        if comp_of[start] >= 0:
+            continue
+        walk: list[tuple[int, str]] = []
+        strand, total = start, 0
+        while True:
+            up = pos2strand[((exit_of[strand] - 1) ^ 1) + 1]
+            walk += [(strand, "down"), (up, "up")]
+            comp_of[strand] = comp_of[up] = len(traversals)
+            direction[strand], direction[up] = 1, -1
+            total += b.framings[strand - 1] + b.framings[up - 1]
+            strand = ((up - 1) ^ 1) + 1
+            if strand == start:
+                break
+        traversals.append(tuple(walk))
+        twists.append(total)
+    self_writhe, linking = component_sums(pairs, comp_of, direction, len(traversals))
     abs_linking = [[abs(v) for v in row] for row in linking]
-    framings = [
-        sum(b.framings[strand - 1] for strand, _ in walk) + w
-        for walk, w in zip(traversals, self_writhe)
-    ]
+    framings = [t + w for t, w in zip(twists, self_writhe)]
     order, key = canonical_order(framings, abs_linking)
-    components = tuple(
+    components = tuple([
         PlatComponent(
-            tuple(sorted(strand for strand, _ in traversals[c])),
+            tuple(sorted([strand for strand, _ in traversals[c]])),
             framings[c],
-            tuple(traversals[c]),
+            traversals[c],
         )
         for c in order
-    )
+    ])
     return PlatSignature(len(traversals), components, ("plat",) + key)
 
 

@@ -75,10 +75,9 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """
     out: list[Letter] = []
     for letter in letters:
-        if out and out[-1].kind == letter.kind and out[-1].index == letter.index:
-            total = out[-1].exponent + letter.exponent
-            out.pop()
-            if total != 0:
+        if out and out[-1].index == letter.index and out[-1].kind == letter.kind:
+            total = out.pop().exponent + letter.exponent
+            if total:
                 out.append(Letter(letter.kind, letter.index, total))
         else:
             out.append(letter)
@@ -97,15 +96,14 @@ class BraidWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.n}")
+        n = self.n
+        if n < 1:
+            raise ValueError(f"strand count must be >= 1, got {n}")
         reduced = _reduce(self.letters)
         for letter in reduced:
-            bound = self.n - 1 if letter.kind == SIGMA else self.n
-            if letter.index > bound:
-                raise ValueError(
-                    f"{letter.kind} index {letter.index} out of range for n={self.n}"
-                )
+            # sigma_i needs i <= n - 1, tau_j needs j <= n
+            if letter.index >= n and (letter.index > n or letter.kind == SIGMA):
+                raise ValueError(f"{letter.kind} index {letter.index} out of range for n={n}")
         object.__setattr__(self, "letters", reduced)
 
     @classmethod
@@ -123,7 +121,7 @@ class BraidWord:
                 yield unit
 
     def has_tau(self) -> bool:
-        return any(letter.kind == TAU for letter in self.letters)
+        return TAU in [letter.kind for letter in self.letters]
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -142,7 +140,7 @@ def include_natural(a: BraidWord, m: int) -> BraidWord:
 
 def invert(a: BraidWord) -> BraidWord:
     """Group inverse: reversed word with negated exponents."""
-    return BraidWord(a.n, tuple(letter.inverse() for letter in reversed(a.letters)))
+    return BraidWord(a.n, tuple([letter.inverse() for letter in reversed(a.letters)]))
 
 
 @dataclass(frozen=True)

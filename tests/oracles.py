@@ -11,6 +11,10 @@ package's normal-form machinery.
 - brute_transfer searches an integer box for framing-transfer solutions.
 - brute_canonical_order tries every tie-group permutation of a signature's
   components and keeps the lexicographically least reordered matrix.
+- two_pass_closure and two_pass_plat compute closure and plat signatures
+  the way the package did before its single crossing scan: the permutation
+  first, then the components, then a crossing scan that already knows every
+  strand's component and direction.
 """
 
 from __future__ import annotations
@@ -260,3 +264,112 @@ def brute_canonical_order(
                 best, best_mat = candidate, mat
     key = (tuple(base[c] for c in best), reordered(best))
     return best, key
+
+
+# --- two-pass closure and plat signatures ----------------------------------
+
+def _images(n: int, letters) -> list[int]:
+    """images[j-1]: the bottom position of the strand entering at top j."""
+    pos2strand = list(range(n + 1))
+    for letter in letters:
+        if letter.kind == "sigma" and letter.exponent % 2:
+            i = letter.index
+            pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
+    images = [0] * n
+    for pos in range(1, n + 1):
+        images[pos2strand[pos] - 1] = pos
+    return images
+
+
+def _component_crossings(n, letters, comp_of: dict, direction: dict):
+    """Self-writhe per component and signed linking matrix; each crossing
+    counts with its letter sign times its strands' directions."""
+    k = len(set(comp_of.values()))
+    self_writhe = [0] * k
+    cross = [[0] * k for _ in range(k)]
+    pos2strand = list(range(n + 1))
+    for letter in letters:
+        if letter.kind != "sigma":
+            continue
+        i, e = letter.index, letter.exponent
+        u, v = pos2strand[i], pos2strand[i + 1]
+        adjusted = e * direction[u] * direction[v]
+        cu, cv = comp_of[u], comp_of[v]
+        if cu == cv:
+            self_writhe[cu] += adjusted
+        else:
+            cross[cu][cv] += adjusted
+            cross[cv][cu] += adjusted
+        if e % 2 != 0:
+            pos2strand[i], pos2strand[i + 1] = v, u
+    assert all(total % 2 == 0 for row in cross for total in row)
+    return self_writhe, [[total // 2 for total in row] for row in cross]
+
+
+def two_pass_closure(b, convention: str):
+    """(component count, ((sorted strands, framing), ...), canonical key) of
+    the standard closure of a framed braid b."""
+    images = _images(b.n, b.beta.letters)
+    cycles: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for start in range(1, b.n + 1):
+        cycle = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = images[j - 1]
+        if cycle:
+            cycles.append(tuple(cycle))
+    comp_of = {s: c for c, cycle in enumerate(cycles) for s in cycle}
+    self_writhe, linking = _component_crossings(
+        b.n, b.beta.letters, comp_of, dict.fromkeys(comp_of, 1))
+    framings = [sum(b.framings[s - 1] for s in cycle) for cycle in cycles]
+    if convention == "blackboard":
+        framings = [f + w for f, w in zip(framings, self_writhe)]
+    order, key = brute_canonical_order(framings, linking)
+    components = tuple((tuple(sorted(cycles[c])), framings[c]) for c in order)
+    return len(cycles), components, (convention,) + key
+
+
+def two_pass_plat(b):
+    """(component count, ((sorted strands, framing, traversal), ...),
+    canonical key) of the plat closure of a framed braid b on 2n ribbons."""
+    images = _images(b.n, b.beta.letters)
+    strand_at = {pos: j for j, pos in enumerate(images, start=1)}
+
+    def partner(e: int) -> int:
+        return e + 1 if e % 2 == 1 else e - 1
+
+    traversals: list[list[tuple[int, str]]] = []
+    direction: dict[int, int] = {}
+    for start in range(1, b.n + 1):
+        if start in direction:
+            continue
+        walk: list[tuple[int, str]] = []
+        strand, down = start, True
+        while True:
+            walk.append((strand, "down" if down else "up"))
+            direction[strand] = 1 if down else -1
+            if down:
+                strand = strand_at[partner(images[strand - 1])]
+                down = False
+            else:
+                strand = partner(strand)
+                down = True
+            if strand == start and down:
+                break
+        traversals.append(walk)
+    comp_of = {strand: c for c, walk in enumerate(traversals) for strand, _ in walk}
+    self_writhe, linking = _component_crossings(b.n, b.beta.letters, comp_of, direction)
+    abs_linking = [[abs(v) for v in row] for row in linking]
+    framings = [
+        sum(b.framings[strand - 1] for strand, _ in walk) + w
+        for walk, w in zip(traversals, self_writhe)
+    ]
+    order, key = brute_canonical_order(framings, abs_linking)
+    components = tuple(
+        (tuple(sorted(strand for strand, _ in traversals[c])), framings[c], tuple(traversals[c]))
+        for c in order
+    )
+    return len(traversals), components, ("plat",) + key

@@ -68,6 +68,20 @@ def test_matches_brute_force_on_symmetric_shapes(shape):
             assert canonical_order(framings, matrix) == brute_canonical_order(framings, matrix)
 
 
+def test_matches_brute_force_on_short_circuit_inputs():
+    rng = random.Random("canon-short-circuits")
+    cases = [([], [])] + [([f], [[0]]) for f in (-2, 0, 3)]
+    for k in range(2, 8):
+        # all untied: distinct framings over a random matrix
+        cases.append((rng.sample(range(-9, 10), k), symmetric(k, lambda i, j: rng.randint(-2, 2))))
+        # all zero: tied framings, nothing linked
+        cases.append(([rng.choice((0, 1)) for _ in range(k)], symmetric(k, lambda i, j: 0)))
+        # tied but zero rows: isolated components beside a linked pair
+        cases.append(([0] * k, symmetric(k, lambda i, j: int((i, j) == (0, 1)))))
+    for framings, matrix in cases:
+        assert canonical_order(framings, matrix) == brute_canonical_order(framings, matrix)
+
+
 def test_key_is_relabel_invariant_on_tie_heavy_inputs():
     rng = random.Random(12)
     cases = [([0] * k, shape(k)) for shape in SHAPES for k in range(2, 13)]

@@ -178,3 +178,27 @@ def test_pretty_flag():
     proc = run_cli("--pretty", "eq", "--n", "2", "s1", "s1")
     assert proc.returncode == 0
     assert proc.stdout.startswith("{\n")
+
+
+@pytest.mark.parametrize("args, env", [
+    (("nf", "--n", "٣", "s2"), None),
+    (("nf", "--n", " 3", "s2"), None),
+    (("nf", "--n", "1_0", "s2"), None),
+    (("fuzz", "--trials", "٣", "--moves", "RM=1"), None),
+    (("fuzz", "--trials", "3", "--moves", "RM=٢"), None),
+    (("fuzz", "--trials", "3", "--moves", "RM=1"), {"FBK_SEED": "٣"}),
+    (("fuzz", "--trials", "3", "--moves", "RM=1"), {"FBK_SEED": " 3"}),
+], ids=["arabic-n", "space-n", "underscore-n", "arabic-trials", "arabic-weight",
+        "arabic-seed", "space-seed"])
+def test_integers_take_ascii_digits_only(args, env):
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 2, proc.stdout
+    assert "error" in json.loads(proc.stdout)
+
+
+def test_hilden_verify_colliding_dictionary_names_exit_two(tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"theta_1": "t1 s1", "θ_1": "s1"}))
+    proc = run_cli("hilden-verify", "--suite", "framed_hilden", "--n", "2", "--dict", str(path))
+    assert proc.returncode == 2, proc.stdout
+    assert "theta_1" in json.loads(proc.stdout)["error"]["message"]

@@ -15,8 +15,10 @@ from framedbraids.framed import FramedBraid, normalize, spell
 from framedbraids.garside import delta_word
 from framedbraids.moves import conjugate
 from framedbraids.parser import parse
-from framedbraids.words import BraidWord, exponent_sum
+from framedbraids.plat import plat_signature
+from framedbraids.words import BraidWord, exponent_sum, sigma, tau
 
+from oracles import two_pass_closure, two_pass_plat
 from test_cli import run_cli
 from test_framed import _relation_instances, random_framed
 
@@ -173,3 +175,38 @@ def test_split_unknot_changes_signature():
     assert closure_signature(a).component_count == 1
     assert closure_signature(wide).component_count == 2
     assert not signatures_match(closure_signature(a), closure_signature(wide))
+
+
+def _oracle_word(rng: random.Random, n: int) -> FramedBraid:
+    """Up to 14 letters, a fifth of them twists, with exponents from +-1 to
+    +-10^6, odd and even."""
+    letters = []
+    for _ in range(rng.randint(0, 14)):
+        size = rng.choice((1, 2, 3, rng.randint(4, 10**6), 10**6 - rng.randint(0, 1)))
+        exponent = size * rng.choice((1, -1))
+        if n == 1 or rng.random() < 0.2:
+            letters.append(tau(rng.randint(1, n), exponent))
+        else:
+            letters.append(sigma(rng.randint(1, n - 1), exponent))
+    return normalize(BraidWord(n, tuple(letters)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_single_scan_matches_two_pass_oracle(n):
+    rng = random.Random(f"scan-oracle-{n}")
+    for _ in range(340):
+        b = _oracle_word(rng, n)
+        for convention in ("blackboard", INTEGER):
+            sig = closure_signature(b, convention)
+            assert (
+                sig.component_count,
+                tuple((c.strands, c.framing) for c in sig.components),
+                sig.canonical_key,
+            ) == two_pass_closure(b, convention)
+        if n % 2 == 0:
+            sig = plat_signature(b)
+            assert (
+                sig.component_count,
+                tuple((c.strands, c.framing, c.traversal) for c in sig.components),
+                sig.canonical_key,
+            ) == two_pass_plat(b)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,8 @@ from framedbraids.hilden import (
     CLASSICAL_SUITE,
     FRAMED_SUITE,
     PURE_SUITE,
+    SUITE_GENERATORS,
+    SUITES,
     GeneratorDictionary,
     builtin_generator,
     canonical_name,
@@ -14,6 +17,7 @@ from framedbraids.hilden import (
     hilden_generator,
     plat_trivializes,
     suite_instances,
+    top_index,
     verify_relation_suite,
 )
 from framedbraids.parser import parse
@@ -51,11 +55,30 @@ def test_pure_generator_words():
     assert exponent_sum(spell(g)) == 4
 
 
+def test_memoized_generators_equal_fresh_ones():
+    for suite in SUITES:
+        for n in range(1, 5):
+            for name in SUITE_GENERATORS[suite]:
+                for i in range(1, top_index(name, n) + 1):
+                    fresh = builtin_generator.__wrapped__(suite, name, i, n)
+                    assert builtin_generator(suite, name, i, n) == fresh
+                    assert builtin_generator(suite, name, i, n) is builtin_generator(suite, name, i, n)
+    # errors are raised afresh on every call, never cached
+    cached = builtin_generator.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            builtin_generator(FRAMED_SUITE, "theta", 3, 2)
+    assert builtin_generator.cache_info().currsize == cached
+
+
 def test_canonical_name():
     assert canonical_name("θ_3") == "theta_3"
     assert canonical_name("ω_1") == "omega_1"
     assert canonical_name("x_{3,1}") == "x_{1,3}"
     assert canonical_name(" P_2 ") == "P_2"
+    for bad in ("x_{١,2}", "x_{1_0,2}"):  # pair indices take ASCII digits only
+        with pytest.raises(ValueError):
+            canonical_name(bad)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -217,3 +240,16 @@ def test_projection_identity_on_generators():
 def test_dictionary_validation():
     with pytest.raises(ValueError):
         GeneratorDictionary(2, {"p_1": FramedBraid.identity(2)})
+
+
+def test_dictionary_refuses_names_that_collide():
+    one, two = normalize(parse("t1 s1", 4)), normalize(parse("s1", 4))
+    with pytest.raises(ValueError, match="both mean 'theta_1'"):
+        GeneratorDictionary(2, {"theta_1": one, "θ_1": two})
+    with pytest.raises(ValueError, match=re.escape("both mean 'x_{1,2}'")):
+        GeneratorDictionary(2, {"x_{1,2}": one, "x_{2, 1}": two})
+    framed = GeneratorDictionary.builtin(FRAMED_SUITE, 2)
+    with pytest.raises(ValueError):
+        framed.with_entries({"theta_1": one, "θ_1": two})
+    # replacing a built-in entry stays allowed
+    assert framed.with_entries({"θ_1": two}).entries["theta_1"] == two

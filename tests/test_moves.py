@@ -14,7 +14,6 @@ from framedbraids.moves import (
     apply_integer_RL_move,
     apply_move,
     conjugate,
-    include_natural,
     over_inclusion,
     solve_framing_transfer,
     tau_conjugation_as_RL_sequence,
@@ -26,6 +25,7 @@ from framedbraids.words import (
     Permutation,
     concat,
     exponent_sum,
+    include_natural,
     permutation_of,
     sigma,
 )

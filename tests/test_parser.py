@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from framedbraids.parser import WordParseError, format_word, parse
+from framedbraids.parser import WordParseError, format_word, parse, signed_decimal
 from framedbraids.words import BraidWord, sigma, tau
 
 from test_words import letters_strategy
@@ -82,3 +82,10 @@ def test_parse_format_round_trip(word):
 def test_format_parse_round_trip_on_canonical_text():
     for text in ("s1 s2^-1 t3^2", "t1^-1 s1^-3", ""):
         assert format_word(parse(text, 3)) == text
+
+
+def test_signed_decimal_takes_ascii_digits_only():
+    assert [signed_decimal(t) for t in ("0", "7", "+7", "-12", "007")] == [0, 7, 7, -12, 7]
+    for bad in ("", "+", "-", "--1", "+-1", "٣", "1٣", "1_0", " 3", "3 ", "3\n", "0x10", "1e3", "³"):
+        with pytest.raises(ValueError):
+            signed_decimal(bad)
