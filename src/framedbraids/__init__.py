@@ -25,11 +25,7 @@ from .framed import (
 from .closure import LinkSignature, closure_signature, knot_framing, signatures_match
 from .moves import (
     MoveDescriptor,
-    apply_integer_RL_move,
-    apply_L_move,
-    apply_M_move,
-    apply_RL_move,
-    apply_RM_move,
+    apply_move,
     conjugate,
     over_inclusion,
     solve_framing_transfer,

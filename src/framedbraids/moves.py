@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from .framed import FramedBraid, include_natural as include_framed, inverse, multiply, normalize, spell
 from .words import BraidWord, Letter, Permutation, concat, sigma, tau
 
-L_KINDS = ("L_over", "L_under")
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
-MOVE_KINDS = L_KINDS + RL_KINDS + INT_RL_KINDS + (
+L_FAMILY_KINDS = ("L_over", "L_under") + RL_KINDS + INT_RL_KINDS
+MOVE_KINDS = L_FAMILY_KINDS + (
     "M",
     "RM",
     "Conjugation",
@@ -52,9 +52,9 @@ class MoveDescriptor:
     k is the integer-framing pair of the integer moves; conjugator is used
     by the Conjugation kind. form selects between the two word variants of
     an (R)L-move (1 inserts right of the cut column, 2 left); inverse marks
-    a step that undoes the move, as emitted in move sequences. The L, RL
-    and integer RL appliers implement only the forward form 1 and raise
-    ValueError on any other descriptor.
+    a step that undoes the move, as emitted in move sequences. apply_move
+    implements only forward form-1 L-family steps: it refuses form 2 and
+    inverse steps of the L, RL and integer RL kinds with ValueError.
     """
 
     kind: str
@@ -144,49 +144,6 @@ def _l_move_letters(
     )
 
 
-def _check_applicable(d: MoveDescriptor, kinds: tuple[str, ...], applier: str) -> None:
-    """Refuse, rather than silently replace, a move the applier lacks."""
-    if d.kind not in kinds or d.form != 1 or d.inverse:
-        raise ValueError(f"{applier} applies only forward form-1 moves of {kinds}, got {d}")
-
-
-def apply_L_move(a: BraidWord, d: MoveDescriptor) -> BraidWord:
-    """Classical L-move: cut a at d.split, reroute through strand d.index.
-
-    The result lies in B_(n+1) and closes to the same link; with coherent
-    downward orientation the writhe changes by exactly d.sign, which is why
-    the framed variant exists.
-    """
-    _check_applicable(d, L_KINDS, "apply_L_move")
-    return BraidWord(a.n + 1, _l_move_letters(
-        a, d.split, d.index, d.sign, d.kind == "L_over", twist=0
-    ))
-
-
-def apply_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
-    """Framed L-move: the new crossing arrives with an opposite twist.
-
-    The compensating t_d.index^-sign neutralizes the kink the crossing adds
-    to the cut component, so the blackboard closure signature is preserved.
-    """
-    _check_applicable(d, RL_KINDS, "apply_RL_move")
-    moved = _l_move_letters(
-        spell(a), d.split, d.index, d.sign, d.kind == "RL_over", twist=-d.sign
-    )
-    return normalize(BraidWord(a.n + 1, moved))
-
-
-def apply_integer_RL_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
-    """Integer framed L-move: wrap in t_(i+1)^k ... t_(i+1)^-k, k in {-1,0,1}."""
-    _check_applicable(d, INT_RL_KINDS, "apply_integer_RL_move")
-    wrapped = _l_move_letters(
-        spell(a), d.split, d.index, d.sign, d.kind == "IntRL_over", twist=0
-    )
-    if d.k != 0:
-        wrapped = (tau(d.index + 1, d.k),) + wrapped + (tau(d.index + 1, -d.k),)
-    return normalize(BraidWord(a.n + 1, wrapped))
-
-
 def stabilize(a: FramedBraid, m: int, sign: int, framed: bool) -> FramedBraid:
     """Widen a by m ribbons, then append sigma_n^sign, preceded by the
     compensating twist t_n^-sign when framed is set."""
@@ -196,16 +153,6 @@ def stabilize(a: FramedBraid, m: int, sign: int, framed: bool) -> FramedBraid:
     twist = (tau(a.n, -sign),) if framed else ()
     step = BraidWord(wide.n, twist + (sigma(a.n, sign),))
     return normalize(concat(spell(wide), step))
-
-
-def apply_M_move(a: FramedBraid, sign: int) -> FramedBraid:
-    """Plain stabilization a sigma_n^sign, the unframed negative control."""
-    return stabilize(a, 1, sign, framed=False)
-
-
-def apply_RM_move(a: FramedBraid, sign: int) -> FramedBraid:
-    """Framed stabilization a t_n^-sign sigma_n^sign into RB_(n+1)."""
-    return stabilize(a, 1, sign, framed=True)
 
 
 def conjugate(a: FramedBraid, g: FramedBraid) -> FramedBraid:
@@ -292,22 +239,35 @@ def solve_framing_transfer(
 
 
 def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
-    """Dispatch a descriptor against a framed braid (CLI and fuzz entry)."""
-    if d.kind in L_KINDS:
-        return normalize(apply_L_move(spell(a), d))
-    if d.kind in RL_KINDS:
-        return apply_RL_move(a, d)
-    if d.kind in INT_RL_KINDS:
-        return apply_integer_RL_move(a, d)
-    if d.kind == "M":
-        return apply_M_move(a, d.sign)
-    if d.kind == "RM":
-        return apply_RM_move(a, d.sign)
+    """Apply one move to a framed braid; the only move applier.
+
+    The L family cuts a at d.split and reroutes it through strand d.index
+    into RB_(n+1). The classical L-move changes the writhe by d.sign; the RL
+    variants compensate with the twist t^-sign on the cut ribbon, so the
+    blackboard closure signature survives, and the integer variants wrap
+    the word in t_(index+1)^k ... t_(index+1)^-k, which preserves the
+    integer-framing signature. Only forward form-1 L-family steps are
+    implemented; any other raises ValueError. M and RM are the plain and
+    the framed stabilization into RB_(n+1); TauConjugation conjugates by
+    t_index^sign, the element its RL chain lands on.
+    """
+    if d.kind in L_FAMILY_KINDS:
+        if d.form != 1 or d.inverse:
+            raise ValueError(f"apply_move applies only forward form-1 L-family moves, got {d}")
+        letters = _l_move_letters(
+            spell(a), d.split, d.index, d.sign, d.kind.endswith("_over"),
+            twist=-d.sign if d.kind in RL_KINDS else 0,
+        )
+        if d.kind in INT_RL_KINDS and d.k != 0:
+            letters = (tau(d.index + 1, d.k),) + letters + (tau(d.index + 1, -d.k),)
+        return normalize(BraidWord(a.n + 1, letters))
+    if d.kind in ("M", "RM"):
+        return stabilize(a, 1, d.sign, framed=d.kind == "RM")
     if d.kind == "Conjugation":
         if d.conjugator is None:
             raise ValueError("Conjugation move needs a conjugator")
         return conjugate(a, d.conjugator)
-    if d.kind == "TauConjugation":
-        steps = tau_conjugation_as_RL_sequence(a, d.index, d.sign)
-        return steps[-1][1]
-    raise ValueError(f"unknown move kind {d.kind!r}")
+    # TauConjugation, the one kind left
+    if not 1 <= d.index <= a.n:
+        raise ValueError(f"twist index {d.index} out of range for n={a.n}")
+    return conjugate(a, normalize(BraidWord(a.n, (tau(d.index, d.sign),))))

@@ -30,11 +30,7 @@ from framedbraids.hilden import (
 )
 from framedbraids.moves import (
     MoveDescriptor,
-    apply_L_move,
-    apply_M_move,
-    apply_RL_move,
-    apply_RM_move,
-    apply_integer_RL_move,
+    apply_move,
     conjugate,
     solve_framing_transfer,
     tau_conjugation_as_RL_sequence,
@@ -170,7 +166,7 @@ def test_criterion_04_framed_L_equivalence():
         if index % 2 == 0:
             d = MoveDescriptor(rng.choice(["RL_over", "RL_under"]), **base)
             before = closure_signature(braid)
-            after = closure_signature(apply_RL_move(braid, d))
+            after = closure_signature(apply_move(braid, d))
             if not signatures_match(before, after):
                 failures.append(("RL", index, d))
         else:
@@ -178,17 +174,17 @@ def test_criterion_04_framed_L_equivalence():
                 rng.choice(["IntRL_over", "IntRL_under"]), k=rng.choice([-1, 0, 1]), **base
             )
             before = closure_signature(braid, INTEGER)
-            after = closure_signature(apply_integer_RL_move(braid, d), INTEGER)
+            after = closure_signature(apply_move(braid, d), INTEGER)
             if not signatures_match(before, after):
                 failures.append(("IntRL", index, d))
         # negative controls: the uncompensated moves drift by exactly the sign
         before = closure_signature(braid)
         control = MoveDescriptor(rng.choice(["L_over", "L_under"]), **base)
-        after = closure_signature(normalize(apply_L_move(spell(braid), control)))
+        after = closure_signature(apply_move(braid, control))
         adjusted = with_adjusted_framing(after, base["index"] + 1, -base["sign"])
         if signatures_match(before, after) or not signatures_match(before, adjusted):
             failures.append(("L control", index, control))
-        after = closure_signature(apply_M_move(braid, base["sign"]))
+        after = closure_signature(apply_move(braid, MoveDescriptor("M", sign=base["sign"])))
         adjusted = with_adjusted_framing(after, n + 1, -base["sign"])
         if signatures_match(before, after) or not signatures_match(before, adjusted):
             failures.append(("M control", index))
@@ -208,7 +204,8 @@ def test_criterion_05_framed_markov_moves():
         if not signatures_match(before, closure_signature(conjugate(braid, g))):
             failures.append(("conjugation", index))
         if not signatures_match(
-            before, closure_signature(apply_RM_move(braid, rng.choice([-1, 1])))
+            before,
+            closure_signature(apply_move(braid, MoveDescriptor("RM", sign=rng.choice([-1, 1])))),
         ):
             failures.append(("RM", index))
     report(5, "conjugation and framed stabilization preserve closures", failures,

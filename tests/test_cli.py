@@ -104,6 +104,18 @@ def test_move_command():
     assert payload["n"] == 2 and payload["framings"] == [-1, 0] and payload["beta"] == "s1"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "bogus"], "unknown move kind 'bogus'"),
+    (["--kind", "Conjugation"], "Conjugation move needs a conjugator"),
+    (["--kind", "TauConjugation", "--index", "3"], "twist index 3 out of range for n=2"),
+    (["--kind", "L_over", "--split", "5"], "split 5 out of range for a word of 1 letters"),
+])
+def test_move_refusals_exit_two(args, message):
+    proc = run_cli("move", "--n", "2", *args, "s1")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": {"message": message}}
+
+
 def test_transfer_command(tmp_path):
     data = {"permutation": [2, 1], "delta": [2, 0], "kappa": [1, 1]}
     path = tmp_path / "transfer.json"

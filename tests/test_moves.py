@@ -7,11 +7,6 @@ from framedbraids.framed import FramedBraid, framed_equal, inverse, multiply, no
 from framedbraids.garside import are_equal
 from framedbraids.moves import (
     MoveDescriptor,
-    apply_L_move,
-    apply_M_move,
-    apply_RL_move,
-    apply_RM_move,
-    apply_integer_RL_move,
     apply_move,
     conjugate,
     over_inclusion,
@@ -121,12 +116,14 @@ def test_L_move_matches_inclusion_form():
         a2 = BraidWord(n, word.letters[split:])
         crossing = BraidWord(n + 1, (sigma(i, sign),))
         for kind, inc in (("L_over", over_inclusion), ("L_under", under_inclusion)):
-            moved = apply_L_move(word, MoveDescriptor(kind, split=split, index=i, sign=sign))
+            d = MoveDescriptor(kind, split=split, index=i, sign=sign)
+            moved = apply_move(normalize(word), d).beta
             assert are_equal(moved, concat(concat(inc(a1, i + 1), crossing), inc(a2, i + 1)))
 
 
 def test_L_move_trivial_instance():
-    moved = apply_L_move(BraidWord(1), MoveDescriptor("L_over", split=0, index=1, sign=1))
+    d = MoveDescriptor("L_over", split=0, index=1, sign=1)
+    moved = apply_move(normalize(BraidWord(1)), d).beta
     assert moved == BraidWord(2, (sigma(1),))
     sig = closure_signature(normalize(moved))
     assert sig.component_count == 1 and sig.components[0].framing == 1
@@ -143,7 +140,8 @@ def test_L_move_unframed_closure_and_writhe():
         i = rng.randint(1, n)
         sign = rng.choice([-1, 1])
         kind = rng.choice(["L_over", "L_under"])
-        moved = apply_L_move(word, MoveDescriptor(kind, split=split, index=i, sign=sign))
+        d = MoveDescriptor(kind, split=split, index=i, sign=sign)
+        moved = apply_move(normalize(word), d).beta
         assert exponent_sum(moved) == exponent_sum(word) + sign
         before = closure_signature(normalize(word))
         after = closure_signature(normalize(moved))
@@ -153,7 +151,7 @@ def test_L_move_unframed_closure_and_writhe():
 
 
 def test_RL_move_examples():
-    moved = apply_RL_move(
+    moved = apply_move(
         FramedBraid.identity(1), MoveDescriptor("RL_over", split=0, index=1, sign=1)
     )
     assert framed_equal(moved, normalize(parse("t1^-1 s1", 2)))
@@ -173,7 +171,7 @@ def test_RL_move_signature_and_exponent_sum():
             index=rng.randint(1, n),
             sign=rng.choice([-1, 1]),
         )
-        moved = apply_RL_move(braid, d)
+        moved = apply_move(braid, d)
         assert signatures_match(closure_signature(braid), closure_signature(moved))
         assert exponent_sum(spell(moved)) == exponent_sum(spell(braid))
 
@@ -184,9 +182,7 @@ def test_integer_RL_move():
     braid = normalize(parse("t1 s1^2", 2))
     d0 = MoveDescriptor("IntRL_over", split=1, index=1, sign=1, k=0)
     dl = MoveDescriptor("L_over", split=1, index=1, sign=1)
-    assert framed_equal(
-        apply_integer_RL_move(braid, d0), normalize(apply_L_move(spell(braid), dl))
-    )
+    assert framed_equal(apply_move(braid, d0), apply_move(braid, dl))
     for _ in range(120):
         n = rng.randint(1, 5)
         braid = random_framed(rng, n, rng.randint(0, 10))
@@ -198,17 +194,17 @@ def test_integer_RL_move():
             sign=rng.choice([-1, 1]),
             k=rng.choice([-1, 0, 1]),
         )
-        moved = apply_integer_RL_move(braid, d)
+        moved = apply_move(braid, d)
         assert signatures_match(
             closure_signature(braid, INTEGER), closure_signature(moved, INTEGER)
         )
     # applying the move word then its inverse word is the identity
-    moved = apply_integer_RL_move(braid, d)
+    moved = apply_move(braid, d)
     assert framed_equal(multiply(moved, inverse(moved)), FramedBraid.identity(moved.n))
 
 
 def test_RM_move():
-    moved = apply_RM_move(FramedBraid.identity(1), 1)
+    moved = apply_move(FramedBraid.identity(1), MoveDescriptor("RM", sign=1))
     assert framed_equal(moved, normalize(parse("t1^-1 s1", 2)))
     rng = random.Random(45)
     for _ in range(60):
@@ -216,10 +212,11 @@ def test_RM_move():
         braid = random_framed(rng, n, rng.randint(0, 10))
         sign = rng.choice([-1, 1])
         assert signatures_match(
-            closure_signature(braid), closure_signature(apply_RM_move(braid, sign))
+            closure_signature(braid),
+            closure_signature(apply_move(braid, MoveDescriptor("RM", sign=sign))),
         )
         # negative control: the plain M-move shifts the new strand's component
-        plain = apply_M_move(braid, sign)
+        plain = apply_move(braid, MoveDescriptor("M", sign=sign))
         after = closure_signature(plain)
         assert not signatures_match(closure_signature(braid), after)
         assert signatures_match(
@@ -266,22 +263,15 @@ def test_tau_conjugation_sequence():
         assert framed_equal(steps[0][1], steps[1][1])
 
 
-@pytest.mark.parametrize("unhonoured", [{"form": 2}, {"inverse": True}])
 @pytest.mark.parametrize(
-    "applier, kind, framed",
-    [
-        (apply_L_move, "L_over", False),
-        (apply_RL_move, "RL_under", True),
-        (apply_integer_RL_move, "IntRL_over", True),
-    ],
+    "kind", ["L_over", "L_under", "RL_over", "RL_under", "IntRL_over", "IntRL_under"]
 )
-def test_appliers_refuse_unimplemented_descriptors(applier, kind, framed, unhonoured):
+def test_apply_move_refuses_unimplemented_descriptors(kind):
     braid = normalize(parse("t1 s1 s2^-1", 3))
-    descriptor = MoveDescriptor(kind, split=1, index=2, **unhonoured)
-    with pytest.raises(ValueError, match="form-1"):
-        applier(braid if framed else spell(braid), descriptor)
-    with pytest.raises(ValueError, match="form-1"):
-        apply_move(braid, descriptor)
+    for unhonoured in ({"form": 2}, {"inverse": True}, {"form": 2, "inverse": True}):
+        with pytest.raises(ValueError, match="form-1"):
+            apply_move(braid, MoveDescriptor(kind, split=1, index=2, **unhonoured))
+    assert apply_move(braid, MoveDescriptor(kind, split=1, index=2)).n == 4
 
 
 def test_tau_conjugation_descriptors_are_refused():
@@ -340,3 +330,16 @@ def test_apply_move_dispatch():
     assert framed_equal(result, normalize(parse("t2 s1", 2)))
     final = apply_move(braid, MoveDescriptor("TauConjugation", index=1, sign=1))
     assert framed_equal(final, conjugate(braid, FramedBraid(2, (1, 0), BraidWord(2))))
+
+
+def test_tau_conjugation_move_is_the_chain_endpoint():
+    rng = random.Random(49)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        braid = random_framed(rng, n, rng.randint(0, 15))
+        i = rng.randint(1, n)
+        exp = rng.choice([-1, 1])
+        direct = apply_move(braid, MoveDescriptor("TauConjugation", index=i, sign=exp))
+        assert direct == tau_conjugation_as_RL_sequence(braid, i, exp)[-1][1]
+    with pytest.raises(ValueError, match="out of range"):
+        apply_move(FramedBraid.identity(2), MoveDescriptor("TauConjugation", index=3))

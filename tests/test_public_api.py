@@ -1,21 +1,20 @@
 """The package exports one name per idea; aliases that only restated another
-name are gone, and the names the benchmark and acceptance check 09 bind
-stay."""
+name are gone, apply_move is the one move applier, and the names the
+benchmark and acceptance check 09 bind stay."""
 
 import inspect
 
 import pytest
 
 import framedbraids
-from framedbraids import closure, framed, hilden, plat, words
+from framedbraids import closure, framed, hilden, moves, plat, words
 
 EXPORTS = [
     "BraidWord", "FramedBraid", "GarsideNormalForm", "GeneratorDictionary",
     "Letter", "LinkSignature", "MoveDescriptor", "Permutation", "PlatSignature",
-    "RelationReport", "WordParseError", "apply_L_move", "apply_M_move",
-    "apply_RL_move", "apply_RM_move", "apply_integer_RL_move", "are_equal",
-    "closure", "closure_signature", "concat", "conjugate", "delta_word",
-    "double_coset_move", "exponent_sum", "format_word", "framed", "framed_equal",
+    "RelationReport", "WordParseError", "apply_move", "are_equal", "closure",
+    "closure_signature", "concat", "conjugate", "delta_word", "double_coset_move",
+    "exponent_sum", "format_word", "framed", "framed_equal",
     "framed_hilden_generator", "framed_stabilization", "garside", "hilden",
     "hilden_generator", "include_natural", "inverse", "invert", "is_identity",
     "knot_framing", "moves", "multiply", "normalize", "over_inclusion", "parse",
@@ -28,6 +27,8 @@ EXPORTS = [
 
 def test_exports_are_pinned():
     assert sorted(framedbraids.__all__) == EXPORTS
+    assert len(EXPORTS) == 53
+    assert framedbraids.apply_move is moves.apply_move
     assert framedbraids.include_natural is words.include_natural
 
 
@@ -38,6 +39,12 @@ def test_exports_are_pinned():
     (words.BraidWord, "__mul__"),         # concat
     (framed.FramedBraid, "__mul__"),      # multiply
     (words.Permutation, "transposition"),
+    (moves, "apply_L_move"),              # apply_move(a, MoveDescriptor(...))
+    (moves, "apply_RL_move"),
+    (moves, "apply_integer_RL_move"),
+    (moves, "apply_M_move"),
+    (moves, "apply_RM_move"),
+    (moves, "_check_applicable"),
 ])
 def test_alias_is_gone(owner, name):
     assert name not in vars(owner)
