@@ -4,12 +4,14 @@ Command line front end. Every command prints one JSON document on stdout.
 Exit codes: 0 on success, 1 when a verification-style command finds a
 failure (unequal words, a relation that does not hold, a failed fuzz
 trial), 2 on usage or parse errors.
+
+closure and plat print an n x n linking matrix, so their --n is capped at
+MAX_MATRIX_STRANDS; a larger strand count is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -20,8 +22,10 @@ from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
 from .moves import MoveDescriptor, apply_move, solve_framing_transfer
 from .parser import WordParseError, format_word, parse, signed_decimal
-from .plat import plat_signature
+from .plat import PlatComponent, plat_signature
 from .words import Permutation
+
+MAX_MATRIX_STRANDS = 1024
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -35,10 +39,17 @@ def _framed_json(b: FramedBraid) -> dict:
     return {"n": b.n, "framings": list(b.framings), "beta": format_word(b.beta)}
 
 
+def _component_json(c) -> dict:
+    out = {"strands": c.strands, "framing": c.framing}
+    if isinstance(c, PlatComponent):
+        out["traversal"] = c.traversal
+    return out
+
+
 def _signature_json(sig, matrix_name: str) -> dict:
-    """Components as their dataclass fields, plus the named linking matrix."""
+    """Components by field name, plus the named linking matrix."""
     return {
-        "components": [dataclasses.asdict(c) for c in sig.components],
+        "components": [_component_json(c) for c in sig.components],
         matrix_name: [list(row) for row in getattr(sig, matrix_name)],
     }
 
@@ -111,6 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     pretty = args.pretty
+    if args.command in ("closure", "plat") and args.n > MAX_MATRIX_STRANDS:
+        raise ValueError(f"{args.command} prints an n x n matrix, so --n is at most "
+                         f"{MAX_MATRIX_STRANDS}, got {args.n}")
     if args.command == "nf":
         _emit(_framed_json(normalize(parse(args.word, args.n))), pretty)
         return 0

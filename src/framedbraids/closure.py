@@ -27,27 +27,30 @@ here use them only in that sound direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from ._canon import canonical_order
 from .framed import FramedBraid, spell
-from .words import SIGMA, BraidWord, exponent_sum
+from .words import SIGMA, BraidWord, _Record, exponent_sum
 
 BLACKBOARD = "blackboard"
 INTEGER = "integer"
 
 
-@dataclass(frozen=True)
-class LinkComponent:
-    strands: tuple[int, ...]
-    framing: int
+class LinkComponent(_Record):
+    __slots__ = ("strands", "framing")
+
+    def __init__(self, strands: tuple[int, ...], framing: int):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "framing", framing)
 
 
-@dataclass(frozen=True)
-class LinkSignature:
-    component_count: int
-    components: tuple[LinkComponent, ...]
-    canonical_key: tuple
+class LinkSignature(_Record):
+    __slots__ = ("component_count", "components", "canonical_key")
+
+    def __init__(self, component_count: int, components: tuple[LinkComponent, ...],
+                 canonical_key: tuple):
+        object.__setattr__(self, "component_count", component_count)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "canonical_key", canonical_key)
 
     @property
     def linking(self) -> tuple[tuple[int, ...], ...]:
@@ -167,7 +170,9 @@ def with_adjusted_framing(sig, strand: int, delta: int):
     framings = [c.framing for c in sig.components]
     framings[target] += delta
     order, key = canonical_order(framings, sig.canonical_key[2])
-    components = tuple(
-        replace(sig.components[c], framing=framings[c]) for c in order
-    )
-    return replace(sig, components=components, canonical_key=sig.canonical_key[:1] + key)
+    components = []
+    for c in order:
+        old = sig.components[c]
+        # strands and framing lead; a plat component's traversal carries over
+        components.append(type(old)(old.strands, framings[c], *old._values(old)[2:]))
+    return type(sig)(sig.component_count, tuple(components), sig.canonical_key[:1] + key)

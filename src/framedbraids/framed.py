@@ -12,32 +12,30 @@ the middles that remain once the shared prefix and suffix are cancelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import garside
-from .words import TAU, BraidWord, Letter, concat, invert, permutation_of, tau
+from .words import TAU, BraidWord, Letter, _Record, concat, invert, permutation_of, tau
 from .words import include_natural as include_word
 
 
-@dataclass(frozen=True)
-class FramedBraid:
+class FramedBraid(_Record):
     """Normal form of an element of RB_n: twist vector followed by a braid."""
 
-    n: int
-    framings: tuple[int, ...]
-    beta: BraidWord
+    __slots__ = ("n", "framings", "beta")
 
-    def __post_init__(self):
-        if len(self.framings) != self.n:
+    def __init__(self, n: int, framings: tuple[int, ...], beta: BraidWord):
+        if len(framings) != n:
             raise ValueError(
-                f"framing vector has length {len(self.framings)}, expected {self.n}"
+                f"framing vector has length {len(framings)}, expected {n}"
             )
-        if self.beta.n != self.n:
+        if beta.n != n:
             raise ValueError(
-                f"braid part on {self.beta.n} strands inside RB_{self.n}"
+                f"braid part on {beta.n} strands inside RB_{n}"
             )
-        if self.beta.has_tau():
+        if beta.has_tau():
             raise ValueError("braid part of a normal form must be tau-free")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "framings", framings)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def identity(cls, n: int) -> FramedBraid:

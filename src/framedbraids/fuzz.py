@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from . import hilden
 from .closure import (
@@ -38,7 +37,7 @@ from .plat import (
     framed_stabilization,
     plat_signature,
 )
-from .words import BraidWord, sigma
+from .words import BraidWord, _Record, sigma
 
 CLOSURE_KINDS = ("RL_over", "RL_under", "IntRL_over", "IntRL_under", "RM", "Conjugation", "TauConjugation")
 CONTROL_KINDS = ("M", "L_over", "L_under")
@@ -48,31 +47,33 @@ ALL_KINDS = CLOSURE_KINDS + CONTROL_KINDS + PLAT_KINDS
 DEFAULT_MIX = tuple((kind, 1) for kind in CLOSURE_KINDS + ("DoubleCoset", "FramedStabilization"))
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    seed: int
-    trials: int
-    n_range: tuple[int, int] = (1, 5)
-    word_length_range: tuple[int, int] = (0, 12)
-    move_mix: tuple[tuple[str, int], ...] = DEFAULT_MIX
+class FuzzConfig(_Record):
+    __slots__ = ("seed", "trials", "n_range", "word_length_range", "move_mix")
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(self, seed: int, trials: int, n_range: tuple[int, int] = (1, 5),
+                 word_length_range: tuple[int, int] = (0, 12),
+                 move_mix: tuple[tuple[str, int], ...] = DEFAULT_MIX):
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.n_range[0] > self.n_range[1] or self.n_range[0] < 1:
-            raise ValueError(f"bad strand range {self.n_range}")
-        if self.word_length_range[0] > self.word_length_range[1]:
-            raise ValueError(f"bad length range {self.word_length_range}")
-        for kind, weight in self.move_mix:
+        if n_range[0] > n_range[1] or n_range[0] < 1:
+            raise ValueError(f"bad strand range {n_range}")
+        if word_length_range[0] > word_length_range[1]:
+            raise ValueError(f"bad length range {word_length_range}")
+        for kind, weight in move_mix:
             if kind not in ALL_KINDS:
                 raise ValueError(f"unknown move kind {kind!r}")
             if weight < 0:
                 raise ValueError("move weights must be >= 0")
-        if not any(w > 0 for _, w in self.move_mix):
+        if not any(w > 0 for _, w in move_mix):
             raise ValueError("move mix has no positive weight")
-        lo_half, hi_half = _plat_halves(self.n_range)
-        if lo_half > hi_half and any(k in PLAT_KINDS and w > 0 for k, w in self.move_mix):
-            raise ValueError(f"plat moves need an even strand count >= 4 in {self.n_range}")
+        lo_half, hi_half = _plat_halves(n_range)
+        if lo_half > hi_half and any(k in PLAT_KINDS and w > 0 for k, w in move_mix):
+            raise ValueError(f"plat moves need an even strand count >= 4 in {n_range}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "word_length_range", word_length_range)
+        object.__setattr__(self, "move_mix", move_mix)
 
 
 def _plat_halves(n_range: tuple[int, int]) -> tuple[int, int]:

@@ -29,9 +29,7 @@ strands 1.1 s and 13 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import BraidWord, Letter, Permutation, sigma
+from .words import BraidWord, Letter, Permutation, _Record, sigma
 
 Perm = tuple[int, ...]
 
@@ -133,13 +131,15 @@ def _reduced_word(p: Perm) -> list[int]:
         q = _swap_positions(q, i)
 
 
-@dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(_Record):
     """Canonical form Delta^inf f1 ... fk; equal forms mean equal braids."""
 
-    n: int
-    inf: int
-    factors: tuple[Permutation, ...]
+    __slots__ = ("n", "inf", "factors")
+
+    def __init__(self, n: int, inf: int, factors: tuple[Permutation, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "inf", inf)
+        object.__setattr__(self, "factors", factors)
 
     def to_word(self) -> BraidWord:
         """Spell the normal form back as a braid word (Delta power first)."""

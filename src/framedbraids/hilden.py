@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import functools
 import unicodedata
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .framed import FramedBraid, framed_equal, multiply, inverse, normalize
 from .parser import signed_decimal
 from .plat import is_plat_trivial as plat_trivializes
-from .words import BraidWord, Letter, sigma, tau
+from .words import BraidWord, Letter, _Record, sigma, tau
 
 Atom = tuple[str, int]
 Word = tuple[Atom, ...]
@@ -114,25 +113,31 @@ def canonical_name(name: str) -> str:
     return name
 
 
-@dataclass
 class GeneratorDictionary:
-    """Named framed braids in RB_2n feeding the relation verifier."""
+    """Named framed braids in RB_2n feeding the relation verifier. Unlike
+    the records it is mutable, so it is equal by value but unhashable."""
 
-    n: int
-    entries: dict[str, FramedBraid]
-
-    def __post_init__(self):
+    def __init__(self, n: int, entries: dict[str, FramedBraid]):
         spelled: dict[str, str] = {}  # canonical name -> the key spelling it
-        for key in self.entries:
+        for key in entries:
             name = canonical_name(key)
             if spelled.setdefault(name, key) != key:
                 raise ValueError(f"names {spelled[name]!r} and {key!r} both mean {name!r}")
-        self.entries = {name: self.entries[key] for name, key in spelled.items()}
+        self.n = n
+        self.entries = {name: entries[key] for name, key in spelled.items()}
         for name, value in self.entries.items():
-            if value.n != 2 * self.n:
+            if value.n != 2 * n:
                 raise ValueError(
-                    f"entry {name!r} lives in RB_{value.n}, expected RB_{2 * self.n}"
+                    f"entry {name!r} lives in RB_{value.n}, expected RB_{2 * n}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.entries) == (other.n, other.entries)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, entries={self.entries!r})"
 
     @classmethod
     def builtin(cls, suite: str, n: int) -> GeneratorDictionary:
@@ -161,23 +166,29 @@ class GeneratorDictionary:
         return GeneratorDictionary(self.n, {**self.entries, **added})
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    relation_id: str
-    lhs: Word
-    rhs: Word
-    note: str | None = None
+class RelationInstance(_Record):
+    __slots__ = ("relation_id", "lhs", "rhs", "note")
+
+    def __init__(self, relation_id: str, lhs: Word, rhs: Word, note: str | None = None):
+        object.__setattr__(self, "relation_id", relation_id)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    relation_id: str
-    lhs: FramedBraid | None
-    rhs: FramedBraid | None
-    holds: bool
-    skipped: bool = False
-    missing: tuple[str, ...] = ()
-    note: str | None = None
+class RelationReport(_Record):
+    __slots__ = ("relation_id", "lhs", "rhs", "holds", "skipped", "missing", "note")
+
+    def __init__(self, relation_id: str, lhs: FramedBraid | None, rhs: FramedBraid | None,
+                 holds: bool, skipped: bool = False, missing: tuple[str, ...] = (),
+                 note: str | None = None):
+        object.__setattr__(self, "relation_id", relation_id)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "note", note)
 
 
 def _pair(name: str, i: int, j: int) -> str:

@@ -27,10 +27,8 @@ under the sign convention fixed in the words module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .framed import FramedBraid, include_natural as include_framed, inverse, multiply, normalize, spell
-from .words import BraidWord, Letter, Permutation, concat, sigma, tau
+from .words import BraidWord, Letter, Permutation, _Record, concat, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
@@ -42,9 +40,21 @@ MOVE_KINDS = L_FAMILY_KINDS + (
     "TauConjugation",
 )
 
+# The fields after kind that each kind reads; every other one must keep its
+# default. The L family also carries form and inverse, which move sequences
+# emit and apply_move refuses.
+_L_FIELDS = ("split", "index", "sign", "form", "inverse")
+_FIELDS_READ = {
+    **dict.fromkeys(L_FAMILY_KINDS, _L_FIELDS),
+    **dict.fromkeys(INT_RL_KINDS, _L_FIELDS + ("k",)),
+    "M": ("sign",),
+    "RM": ("sign",),
+    "Conjugation": ("conjugator",),
+    "TauConjugation": ("index", "sign"),
+}
 
-@dataclass(frozen=True)
-class MoveDescriptor:
+
+class MoveDescriptor(_Record):
     """Parameters of one move, enough to apply it or to undo it.
 
     split and index parametrize the L family (cut point in the word and
@@ -54,31 +64,35 @@ class MoveDescriptor:
     an (R)L-move (1 inserts right of the cut column, 2 left); inverse marks
     a step that undoes the move, as emitted in move sequences. apply_move
     implements only forward form-1 L-family steps: it refuses form 2 and
-    inverse steps of the L, RL and integer RL kinds with ValueError.
+    inverse steps of the L, RL and integer RL kinds with ValueError. A field
+    that the kind never reads (M and RM read only sign, Conjugation only
+    conjugator, TauConjugation index and sign, and k belongs to the integer
+    RL kinds) must keep its default, or the constructor raises ValueError.
     """
 
-    kind: str
-    split: int = 0
-    index: int = 1
-    sign: int = 1
-    k: int = 0
-    conjugator: FramedBraid | None = None
-    form: int = 1
-    inverse: bool = False
+    __slots__ = ("kind", "split", "index", "sign", "k", "conjugator", "form", "inverse")
 
-    def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        if self.k not in (-1, 0, 1):
-            raise ValueError(f"k must lie in {{-1, 0, 1}}, got {self.k}")
-        if self.split < 0:
-            raise ValueError(f"split must be >= 0, got {self.split}")
-        if self.index < 1:
-            raise ValueError(f"index must be >= 1, got {self.index}")
-        if self.form not in (1, 2):
-            raise ValueError(f"form must be 1 or 2, got {self.form}")
+    def __init__(self, kind: str, split: int = 0, index: int = 1, sign: int = 1, k: int = 0,
+                 conjugator: FramedBraid | None = None, form: int = 1, inverse: bool = False):
+        if kind not in MOVE_KINDS:
+            raise ValueError(f"unknown move kind {kind!r}")
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be +-1, got {sign}")
+        if k not in (-1, 0, 1):
+            raise ValueError(f"k must lie in {{-1, 0, 1}}, got {k}")
+        if split < 0:
+            raise ValueError(f"split must be >= 0, got {split}")
+        if index < 1:
+            raise ValueError(f"index must be >= 1, got {index}")
+        if form not in (1, 2):
+            raise ValueError(f"form must be 1 or 2, got {form}")
+        values = (split, index, sign, k, conjugator, form, inverse)
+        read, defaults = _FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
+        for name, value, default in zip(self.__slots__[1:], values, defaults):
+            if value != default and name not in read:
+                raise ValueError(f"{kind} moves do not use {name}")
+        for name, value in zip(self.__slots__, (kind, *values)):
+            object.__setattr__(self, name, value)
 
 
 def _run(lo: int, hi: int, exponent: int) -> list[Letter]:

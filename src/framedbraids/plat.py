@@ -22,27 +22,32 @@ and is only ever used in the sound direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._canon import canonical_order
 # Unused here: bench/tracing.py wraps plat.with_adjusted_framing by name.
 from .closure import component_sums, crossing_sums, with_adjusted_framing
 from .framed import FramedBraid, multiply
 from .moves import stabilize
+from .words import _Record
 
 
-@dataclass(frozen=True)
-class PlatComponent:
-    strands: tuple[int, ...]
-    framing: int
-    traversal: tuple[tuple[int, str], ...]
+class PlatComponent(_Record):
+    __slots__ = ("strands", "framing", "traversal")
+
+    def __init__(self, strands: tuple[int, ...], framing: int,
+                 traversal: tuple[tuple[int, str], ...]):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "framing", framing)
+        object.__setattr__(self, "traversal", traversal)
 
 
-@dataclass(frozen=True)
-class PlatSignature:
-    component_count: int
-    components: tuple[PlatComponent, ...]
-    canonical_key: tuple
+class PlatSignature(_Record):
+    __slots__ = ("component_count", "components", "canonical_key")
+
+    def __init__(self, component_count: int, components: tuple[PlatComponent, ...],
+                 canonical_key: tuple):
+        object.__setattr__(self, "component_count", component_count)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "canonical_key", canonical_key)
 
     @property
     def abs_linking(self) -> tuple[tuple[int, ...], ...]:

@@ -22,32 +22,73 @@ Storage is freely reduced: adjacent letters with equal kind and index merge,
 and letters whose exponent cancels to 0 are dropped. That is the only
 normalization done at this layer; deciding genuine braid equality is the
 job of the garside module.
+
+Letter, BraidWord, Permutation and the package's other value types are
+records: slotted classes on the private _Record base below. A record's
+constructor validates its arguments (ValueError) and stores them once. It
+then guarantees: its fields never change (assigning or deleting one raises
+AttributeError); two records are equal exactly when they have the same type
+and equal fields, and equal records hash alike; repr shows every field by
+name; copy, deepcopy and pickle rebuild it through its constructor. The one
+mutable value type, hilden.GeneratorDictionary, is a plain class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import Iterable, Iterator
 
 SIGMA = "sigma"
 TAU = "tau"
 
 
-@dataclass(frozen=True)
-class Letter:
+class _Record:
+    """Base of the frozen value records; a subclass lists its fields in
+    __slots__, in constructor order, and sets them with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Letter(_Record):
     """One run-length syllable: kind is "sigma" or "tau", exponent is nonzero."""
 
-    kind: str
-    index: int
-    exponent: int
+    __slots__ = ("kind", "index", "exponent")
 
-    def __post_init__(self):
-        if self.kind not in (SIGMA, TAU):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
-        if self.exponent == 0:
+    def __init__(self, kind: str, index: int, exponent: int):
+        if kind not in (SIGMA, TAU):
+            raise ValueError(f"unknown letter kind {kind!r}")
+        if index < 1:
+            raise ValueError(f"letter index must be >= 1, got {index}")
+        if exponent == 0:
             raise ValueError("letters with exponent 0 are never stored")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "exponent", exponent)
 
     def inverse(self) -> Letter:
         return Letter(self.kind, self.index, -self.exponent)
@@ -84,26 +125,24 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A freely reduced word over the sigma and tau letters of RB_n.
 
     The constructor reduces its input, so two words that agree after free
     reduction compare equal. Empty words are the identity.
     """
 
-    n: int
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
-        reduced = _reduce(self.letters)
+        reduced = _reduce(letters)
         for letter in reduced:
             # sigma_i needs i <= n - 1, tau_j needs j <= n
             if letter.index >= n and (letter.index > n or letter.kind == SIGMA):
                 raise ValueError(f"{letter.kind} index {letter.index} out of range for n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", reduced)
 
     @classmethod
@@ -143,8 +182,7 @@ def invert(a: BraidWord) -> BraidWord:
     return BraidWord(a.n, tuple([letter.inverse() for letter in reversed(a.letters)]))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A permutation of {1..n}; images[j-1] is where top position j lands.
 
     Composition is written so that compose(q, p) applies p first, matching
@@ -152,12 +190,13 @@ class Permutation:
     word ab is permutation_of(b).compose(permutation_of(a)).
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from framedbraids.cli import MAX_MATRIX_STRANDS
+
 CLI = [sys.executable, "-m", "framedbraids"]
 
 
@@ -109,11 +111,26 @@ def test_move_command():
     (["--kind", "Conjugation"], "Conjugation move needs a conjugator"),
     (["--kind", "TauConjugation", "--index", "3"], "twist index 3 out of range for n=2"),
     (["--kind", "L_over", "--split", "5"], "split 5 out of range for a word of 1 letters"),
+    (["--kind", "RM", "--index", "2"], "RM moves do not use index"),
 ])
 def test_move_refusals_exit_two(args, message):
     proc = run_cli("move", "--n", "2", *args, "s1")
     assert proc.returncode == 2
     assert json.loads(proc.stdout) == {"error": {"message": message}}
+
+
+@pytest.mark.parametrize("command, matrix", [("closure", "linking"), ("plat", "abs_linking")])
+def test_matrix_commands_cap_the_strand_count(command, matrix):
+    assert MAX_MATRIX_STRANDS == 1024
+    proc = run_cli(command, "--n", "1024", "s1", timeout=10)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert len(payload[matrix]) == len(payload["components"]) == (1023 if command == "closure" else 512)
+    for n in ("1025", "1000000"):
+        proc = run_cli(command, "--n", n, "s1", timeout=10)
+        assert proc.returncode == 2 and proc.stderr == ""
+        message = f"{command} prints an n x n matrix, so --n is at most 1024, got {n}"
+        assert json.loads(proc.stdout) == {"error": {"message": message}}
 
 
 def test_transfer_command(tmp_path):

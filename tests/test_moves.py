@@ -284,6 +284,43 @@ def test_tau_conjugation_descriptors_are_refused():
             apply_move(a, descriptor)
 
 
+NON_DEFAULT = {"split": 1, "index": 2, "sign": -1, "k": 1,
+               "conjugator": FramedBraid.identity(2), "form": 2, "inverse": True}
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("RM", "split"),
+    ("M", "index"),
+    ("Conjugation", "sign"),
+    ("RL_over", "k"),
+    ("TauConjugation", "conjugator"),
+    ("RM", "form"),
+    ("TauConjugation", "inverse"),
+])
+def test_descriptor_refuses_a_field_its_kind_never_reads(kind, field):
+    with pytest.raises(ValueError, match=f"^{kind} moves do not use {field}$"):
+        MoveDescriptor(kind, **{field: NON_DEFAULT[field]})
+
+
+def test_descriptor_accepts_exactly_the_fields_each_kind_reads():
+    l_fields = {"split", "index", "sign", "form", "inverse"}
+    reads = {
+        "L_over": l_fields, "L_under": l_fields, "RL_over": l_fields, "RL_under": l_fields,
+        "IntRL_over": l_fields | {"k"}, "IntRL_under": l_fields | {"k"},
+        "M": {"sign"}, "RM": {"sign"}, "Conjugation": {"conjugator"},
+        "TauConjugation": {"index", "sign"},
+    }
+    for kind, expected in reads.items():
+        accepted = set()
+        for field, value in NON_DEFAULT.items():
+            try:
+                MoveDescriptor(kind, **{field: value})
+                accepted.add(field)
+            except ValueError:
+                pass
+        assert accepted == expected, kind
+
+
 def test_solve_framing_transfer_examples():
     p = Permutation.identity(3)
     assert solve_framing_transfer(p, (1, 2, 3), (1, 2, 3)) == (0, 0, 0)
