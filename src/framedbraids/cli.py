@@ -145,12 +145,12 @@ def _run(args) -> int:
         return 0
     if args.command == "move":
         braid = normalize(parse(args.word, args.n))
-        conjugator = None
+        factors = ()
         if args.conjugator is not None:
-            conjugator = normalize(parse(args.conjugator, args.n))
+            factors = (normalize(parse(args.conjugator, args.n)),)
         descriptor = MoveDescriptor(
             args.kind, split=args.split, index=args.index,
-            sign=args.sign, k=args.k, conjugator=conjugator,
+            sign=args.sign, k=args.k, factors=factors,
         )
         result = apply_move(braid, descriptor)
         _emit(dict(_framed_json(result), kind=args.kind), pretty)

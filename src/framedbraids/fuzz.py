@@ -1,15 +1,17 @@
 """
 Randomized move-invariance trials with deterministic, diffable reports.
 
-Each trial samples a framed braid, applies one admissible move, and checks
-the signature law that move promises: blackboard closure signatures for RL,
-RM, conjugation and twist-conjugation moves, integer-framing signatures for
-the integer RL moves, plat signatures for double coset and framed
-stabilization moves. The uncompensated M and L moves are negative controls:
-their trials pass exactly when the affected component's framing drifts by
-the crossing sign and nothing else changes. Plat trials use an even strand
-count of at least 4 inside the configured range; a configuration that gives
-a plat move weight over a range without one is rejected.
+Each trial samples a framed braid and a MoveDescriptor, applies it with
+moves.apply_move, and checks the signature law that move promises:
+blackboard closure signatures for RL, RM, conjugation and twist-conjugation
+moves, integer-framing signatures for the integer RL moves, plat signatures
+for double coset and framed stabilization moves. The uncompensated M, L and
+classical stabilization moves are negative controls: their trials pass
+exactly when the affected component's framing drifts by the crossing sign
+and nothing else changes. Plat trials use an even strand count of at least
+4 inside the configured range; a configuration that gives a plat move
+weight over a range without one is rejected. A failed trial's report
+records the descriptor, factors included, so the failure can be replayed.
 
 Every trial derives its own RNG from (seed, trial index), so reports are
 byte-identical across runs with the same configuration. A default trial
@@ -29,19 +31,14 @@ from .closure import (
     with_adjusted_framing,
 )
 from .framed import FramedBraid, framed_equal, inverse, multiply
-from .moves import MoveDescriptor, apply_move, conjugate, tau_conjugation_as_RL_sequence
+from .moves import (INT_RL_KINDS, L_FAMILY_KINDS, MOVE_KINDS, PLAT_KINDS, MoveDescriptor,
+                    apply_move, tau_conjugation_as_RL_sequence)
 from .parser import format_word
-from .plat import (
-    classical_stabilization,
-    double_coset_move,
-    framed_stabilization,
-    plat_signature,
-)
+from .plat import plat_signature
 from .words import BraidWord, _Record, sigma
 
-CLOSURE_KINDS = ("RL_over", "RL_under", "IntRL_over", "IntRL_under", "RM", "Conjugation", "TauConjugation")
 CONTROL_KINDS = ("M", "L_over", "L_under")
-PLAT_KINDS = ("DoubleCoset", "FramedStabilization", "ClassicalStabilization")
+CLOSURE_KINDS = tuple(k for k in MOVE_KINDS if k not in CONTROL_KINDS + PLAT_KINDS)
 ALL_KINDS = CLOSURE_KINDS + CONTROL_KINDS + PLAT_KINDS
 
 DEFAULT_MIX = tuple((kind, 1) for kind in CLOSURE_KINDS + ("DoubleCoset", "FramedStabilization"))
@@ -128,77 +125,72 @@ def _control_passes(detail: dict, before, after, strand: int, sign: int) -> bool
 def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dict]:
     lo, hi = config.n_range
     llo, lhi = config.word_length_range
-    detail: dict = {"kind": kind}
     if kind in PLAT_KINDS:
         lo_half, hi_half = _plat_halves(config.n_range)
         half = max(lo_half, rng.randint(max(1, lo // 2), hi_half))
-        braid = sample_framed_braid(rng, 2 * half, rng.randint(llo, lhi))
-        before = plat_signature(braid)
-        if kind == "DoubleCoset":
-            h1 = sample_hilden_product(rng, half, 6)
-            h2 = sample_hilden_product(rng, half, 6)
-            after = plat_signature(double_coset_move(braid, h1, h2))
-            ok = signatures_match(before, after)
-        elif kind == "FramedStabilization":
-            sign = rng.choice([-1, 1])
-            after = plat_signature(framed_stabilization(braid, sign))
-            ok = signatures_match(before, after)
-        else:
-            sign = rng.choice([-1, 1])
-            after = plat_signature(classical_stabilization(braid, sign))
-            ok = _control_passes(detail, before, after, braid.n + 1, sign)
-        detail.update(n=braid.n, framings=list(braid.framings), beta=braid.beta)
-        return ok, detail
-
-    n = rng.randint(lo, hi)
-    braid = sample_framed_braid(rng, n, rng.randint(llo, lhi))
-    detail.update(n=n, framings=list(braid.framings), beta=braid.beta)
-    word_len = len(braid.beta.letters) + n - braid.framings.count(0)
-    if kind == "Conjugation":
-        g = sample_framed_braid(rng, n, rng.randint(llo, lhi))
-        detail["descriptor"] = {
-            "kind": kind, "conjugator_framings": list(g.framings),
-            "conjugator_beta": format_word(g.beta),
-        }
-        before = closure_signature(braid)
-        after = closure_signature(conjugate(braid, g))
-        return signatures_match(before, after), detail
-    if kind == "TauConjugation":
-        i = rng.randint(1, n)
-        exp = rng.choice([-1, 1])
-        detail["descriptor"] = {"kind": kind, "index": i, "sign": exp}
-        before = closure_signature(braid)
-        steps = tau_conjugation_as_RL_sequence(braid, i, exp)
-        for _, element in steps:
-            if not signatures_match(before, closure_signature(element)):
-                return False, detail
-        direct = apply_move(braid, MoveDescriptor(kind, index=i, sign=exp))
-        return framed_equal(steps[-1][1], direct), detail
-    if kind in ("M", "RM"):
-        descriptor = MoveDescriptor(kind, sign=rng.choice([-1, 1]))
-        detail["descriptor"] = {"kind": kind, "sign": descriptor.sign}
-        strand = n + 1
+        n = 2 * half
     else:
-        descriptor = MoveDescriptor(
+        n = rng.randint(lo, hi)
+    braid = sample_framed_braid(rng, n, rng.randint(llo, lhi))
+    if kind == "DoubleCoset":
+        d = MoveDescriptor(kind, factors=(sample_hilden_product(rng, half, 6),
+                                          sample_hilden_product(rng, half, 6)))
+    elif kind == "Conjugation":
+        d = MoveDescriptor(kind, factors=(sample_framed_braid(rng, n, rng.randint(llo, lhi)),))
+    elif kind == "TauConjugation":
+        d = MoveDescriptor(kind, index=rng.randint(1, n), sign=rng.choice([-1, 1]))
+    elif kind in L_FAMILY_KINDS:
+        word_len = len(braid.beta.letters) + n - braid.framings.count(0)
+        d = MoveDescriptor(
             kind,
             split=rng.randint(0, word_len),
             index=rng.randint(1, n),
             sign=rng.choice([-1, 1]),
-            k=rng.choice([-1, 0, 1]) if kind.startswith("IntRL") else 0,
+            k=rng.choice([-1, 0, 1]) if kind in INT_RL_KINDS else 0,
         )
-        detail["descriptor"] = {
-            "kind": kind, "split": descriptor.split, "index": descriptor.index,
-            "sign": descriptor.sign, "k": descriptor.k,
-        }
+    else:  # the stabilizations
+        d = MoveDescriptor(kind, sign=rng.choice([-1, 1]))
+    detail = {"kind": kind, "n": n, "framings": list(braid.framings), "beta": braid.beta,
+              "descriptor": d}
+    moved = apply_move(braid, d)
+    if kind in PLAT_KINDS:
+        before, after = plat_signature(braid), plat_signature(moved)
+    else:
+        convention = INTEGER if kind in INT_RL_KINDS else "blackboard"
+        before = closure_signature(braid, convention)
+        after = closure_signature(moved, convention)
+    if kind in CONTROL_KINDS or kind == "ClassicalStabilization":
         # An L-move's new strand enters at position index+1 in the dragged
-        # word; in the plain control its component absorbs the kink.
-        strand = descriptor.index + 1
-    convention = INTEGER if kind.startswith("IntRL") else "blackboard"
-    before = closure_signature(braid, convention)
-    after = closure_signature(apply_move(braid, descriptor), convention)
-    if kind in CONTROL_KINDS:
-        return _control_passes(detail, before, after, strand, descriptor.sign), detail
-    return signatures_match(before, after), detail
+        # word; in the plain control its component absorbs the kink. A
+        # stabilization's new strand is n+1.
+        strand = d.index + 1 if kind in L_FAMILY_KINDS else n + 1
+        return _control_passes(detail, before, after, strand, d.sign), detail
+    ok = signatures_match(before, after)
+    if ok and kind == "TauConjugation":
+        # The move is also the endpoint of its RL chain, each step of which
+        # keeps the signature.
+        steps = tau_conjugation_as_RL_sequence(braid, d.index, d.sign)
+        ok = all(signatures_match(before, closure_signature(e)) for _, e in steps)
+        ok = ok and framed_equal(steps[-1][1], moved)
+    return ok, detail
+
+
+def _descriptor_json(d: MoveDescriptor) -> dict:
+    """The fields of d that replay it, with each factor as its framings and word."""
+    out: dict = {"kind": d.kind}
+    if d.kind == "Conjugation":
+        (g,) = d.factors
+        out.update(conjugator_framings=list(g.framings), conjugator_beta=format_word(g.beta))
+    elif d.kind == "DoubleCoset":
+        for name, h in zip(("h1", "h2"), d.factors):
+            out[name] = {"framings": list(h.framings), "beta": format_word(h.beta)}
+    elif d.kind in L_FAMILY_KINDS:
+        out.update(split=d.split, index=d.index, sign=d.sign, k=d.k)
+    elif d.kind == "TauConjugation":
+        out.update(index=d.index, sign=d.sign)
+    else:
+        out["sign"] = d.sign
+    return out
 
 
 def run_fuzz(config: FuzzConfig) -> dict:
@@ -220,8 +212,9 @@ def run_fuzz(config: FuzzConfig) -> dict:
             passed += 1
             bucket["passed"] += 1
         elif first_failure is None:
-            first_failure = dict(detail, beta=format_word(detail["beta"]), trial=index,
-                                 seed=config.seed)
+            first_failure = dict(detail, beta=format_word(detail["beta"]),
+                                 descriptor=_descriptor_json(detail["descriptor"]),
+                                 trial=index, seed=config.seed)
     return {
         "config": {
             "seed": config.seed,

@@ -1,6 +1,7 @@
 """
 The braid-level moves: inclusions, L-moves and their framed and integer
-variants, (R)M-moves, conjugations, and the framing-transfer solver.
+variants, (R)M-moves, conjugations, the framed Birman moves of plats, and
+the framing-transfer solver.
 
 All cut-and-reroute moves are applied through their fully right-dragged
 word forms. Writing iota for the natural inclusion into B_(n+1) and s for
@@ -27,19 +28,20 @@ under the sign convention fixed in the words module.
 
 from __future__ import annotations
 
+from . import plat
 from .framed import FramedBraid, include_natural as include_framed, inverse, multiply, normalize, spell
 from .words import BraidWord, Letter, Permutation, _Record, concat, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
 L_FAMILY_KINDS = ("L_over", "L_under") + RL_KINDS + INT_RL_KINDS
-MOVE_KINDS = L_FAMILY_KINDS + (
-    "M",
-    "RM",
-    "Conjugation",
-    "TauConjugation",
-)
+PLAT_KINDS = ("DoubleCoset", "FramedStabilization", "ClassicalStabilization")
+MOVE_KINDS = L_FAMILY_KINDS + ("M", "RM", "Conjugation", "TauConjugation") + PLAT_KINDS
 
+# The stabilizations: kind -> (ribbons added, compensating twist or not).
+_STABILIZATIONS = {"M": (1, False), "RM": (1, True),
+                   "ClassicalStabilization": (2, False), "FramedStabilization": (2, True)}
+_FACTOR_COUNT = {"Conjugation": 1, "DoubleCoset": 2}
 # The fields after kind that each kind reads; every other one must keep its
 # default. The L family also carries form and inverse, which move sequences
 # emit and apply_move refuses.
@@ -47,9 +49,8 @@ _L_FIELDS = ("split", "index", "sign", "form", "inverse")
 _FIELDS_READ = {
     **dict.fromkeys(L_FAMILY_KINDS, _L_FIELDS),
     **dict.fromkeys(INT_RL_KINDS, _L_FIELDS + ("k",)),
-    "M": ("sign",),
-    "RM": ("sign",),
-    "Conjugation": ("conjugator",),
+    **dict.fromkeys(_STABILIZATIONS, ("sign",)),
+    **dict.fromkeys(_FACTOR_COUNT, ("factors",)),
     "TauConjugation": ("index", "sign"),
 }
 
@@ -57,23 +58,28 @@ _FIELDS_READ = {
 class MoveDescriptor(_Record):
     """Parameters of one move, enough to apply it or to undo it.
 
-    split and index parametrize the L family (cut point in the word and
-    insertion position of the new strand); sign is the new crossing sign;
-    k is the integer-framing pair of the integer moves; conjugator is used
-    by the Conjugation kind. form selects between the two word variants of
-    an (R)L-move (1 inserts right of the cut column, 2 left); inverse marks
-    a step that undoes the move, as emitted in move sequences. apply_move
-    implements only forward form-1 L-family steps: it refuses form 2 and
-    inverse steps of the L, RL and integer RL kinds with ValueError. A field
-    that the kind never reads (M and RM read only sign, Conjugation only
-    conjugator, TauConjugation index and sign, and k belongs to the integer
-    RL kinds) must keep its default, or the constructor raises ValueError.
+    The fields after kind that each kind reads:
+
+      L_over, L_under, RL_over, RL_under   split, index, sign, form, inverse
+      IntRL_over, IntRL_under              the same and k
+      M, RM, FramedStabilization,
+      ClassicalStabilization               sign
+      TauConjugation                       index, sign (the twist exponent)
+      Conjugation, DoubleCoset             factors: (g,) and (h1, h2)
+
+    split and index are the cut point in the word and the insertion position
+    of the new strand; sign is the new crossing sign; k is the integer-framing
+    pair. form selects between the two word variants of an (R)L-move (1
+    inserts right of the cut column, 2 left); inverse marks a step that undoes
+    the move, as emitted in move sequences. The constructor raises ValueError
+    for a field the kind never reads that is not at its default, and for a
+    factor count other than the kind's.
     """
 
-    __slots__ = ("kind", "split", "index", "sign", "k", "conjugator", "form", "inverse")
+    __slots__ = ("kind", "split", "index", "sign", "k", "factors", "form", "inverse")
 
     def __init__(self, kind: str, split: int = 0, index: int = 1, sign: int = 1, k: int = 0,
-                 conjugator: FramedBraid | None = None, form: int = 1, inverse: bool = False):
+                 factors: tuple[FramedBraid, ...] = (), form: int = 1, inverse: bool = False):
         if kind not in MOVE_KINDS:
             raise ValueError(f"unknown move kind {kind!r}")
         if sign not in (-1, 1):
@@ -86,11 +92,15 @@ class MoveDescriptor(_Record):
             raise ValueError(f"index must be >= 1, got {index}")
         if form not in (1, 2):
             raise ValueError(f"form must be 1 or 2, got {form}")
-        values = (split, index, sign, k, conjugator, form, inverse)
+        values = (split, index, sign, k, factors, form, inverse)
         read, defaults = _FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
         for name, value, default in zip(self.__slots__[1:], values, defaults):
             if value != default and name not in read:
                 raise ValueError(f"{kind} moves do not use {name}")
+        count = _FACTOR_COUNT.get(kind, 0)
+        if len(factors) != count:
+            plural = "s" * (count > 1)
+            raise ValueError(f"{kind} moves need {count} factor{plural}, got {len(factors)}")
         for name, value in zip(self.__slots__, (kind, *values)):
             object.__setattr__(self, name, value)
 
@@ -156,17 +166,6 @@ def _l_move_letters(
         + a.letters[split:]
         + tuple(reversed(_run(i + 1, n, -conj)))
     )
-
-
-def stabilize(a: FramedBraid, m: int, sign: int, framed: bool) -> FramedBraid:
-    """Widen a by m ribbons, then append sigma_n^sign, preceded by the
-    compensating twist t_n^-sign when framed is set."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    wide = include_framed(a, m)
-    twist = (tau(a.n, -sign),) if framed else ()
-    step = BraidWord(wide.n, twist + (sigma(a.n, sign),))
-    return normalize(concat(spell(wide), step))
 
 
 def conjugate(a: FramedBraid, g: FramedBraid) -> FramedBraid:
@@ -261,9 +260,14 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     blackboard closure signature survives, and the integer variants wrap
     the word in t_(index+1)^k ... t_(index+1)^-k, which preserves the
     integer-framing signature. Only forward form-1 L-family steps are
-    implemented; any other raises ValueError. M and RM are the plain and
-    the framed stabilization into RB_(n+1); TauConjugation conjugates by
-    t_index^sign, the element its RL chain lands on.
+    implemented; any other raises ValueError. The stabilizations widen a by
+    one ribbon (M, RM) or, on an even ribbon count, by two (Classical- and
+    FramedStabilization) and append sigma_n^sign, after t_n^-sign for RM and
+    FramedStabilization.
+    Conjugation returns g^-1 a g; TauConjugation conjugates by t_index^sign,
+    the element its RL chain lands on. DoubleCoset returns h1 a h2, and
+    refuses a factor that fails the plat-triviality test, as an arbitrary
+    factor can change the plat closure.
     """
     if d.kind in L_FAMILY_KINDS:
         if d.form != 1 or d.inverse:
@@ -275,12 +279,24 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
         if d.kind in INT_RL_KINDS and d.k != 0:
             letters = (tau(d.index + 1, d.k),) + letters + (tau(d.index + 1, -d.k),)
         return normalize(BraidWord(a.n + 1, letters))
-    if d.kind in ("M", "RM"):
-        return stabilize(a, 1, d.sign, framed=d.kind == "RM")
+    if d.kind in _STABILIZATIONS:
+        ribbons, framed = _STABILIZATIONS[d.kind]
+        if ribbons == 2 and a.n % 2 != 0:
+            raise ValueError(f"{d.kind} needs an even ribbon count, got {a.n}")
+        wide = include_framed(a, ribbons)
+        twist = (tau(a.n, -d.sign),) if framed else ()
+        step = BraidWord(wide.n, twist + (sigma(a.n, d.sign),))
+        return normalize(concat(spell(wide), step))
     if d.kind == "Conjugation":
-        if d.conjugator is None:
-            raise ValueError("Conjugation move needs a conjugator")
-        return conjugate(a, d.conjugator)
+        return conjugate(a, d.factors[0])
+    if d.kind == "DoubleCoset":
+        h1, h2 = d.factors
+        if not (a.n == h1.n == h2.n):
+            raise ValueError("double coset move needs equal ribbon counts")
+        for name, h in (("h1", h1), ("h2", h2)):
+            if not plat.is_plat_trivial(h):
+                raise ValueError(f"{name} does not look like a cap stabilizer element")
+        return multiply(multiply(h1, a), h2)
     # TauConjugation, the one kind left
     if not 1 <= d.index <= a.n:
         raise ValueError(f"twist index {d.index} out of range for n={a.n}")

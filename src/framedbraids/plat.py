@@ -1,6 +1,7 @@
 """
-Plat closure invariants of framed braids on an even number of ribbons, and
-the framed Birman move set.
+Plat closure invariants of framed braids on an even number of ribbons, the
+plat-triviality test, and the framed Birman moves as calls of
+moves.apply_move, which the benchmark traces under these names.
 
 The plat closure caps adjacent endpoint pairs (2i-1, 2i) at the top and the
 bottom of a 2n-ribbon braid. Each component is found by walking the cap
@@ -22,11 +23,11 @@ and is only ever used in the sound direction.
 
 from __future__ import annotations
 
+from . import moves
 from ._canon import canonical_order
 # Unused here: bench/tracing.py wraps plat.with_adjusted_framing by name.
 from .closure import component_sums, crossing_sums, with_adjusted_framing
-from .framed import FramedBraid, multiply
-from .moves import stabilize
+from .framed import FramedBraid
 from .words import _Record
 
 
@@ -118,29 +119,15 @@ def is_plat_trivial(b: FramedBraid) -> bool:
 
 
 def double_coset_move(b: FramedBraid, h1: FramedBraid, h2: FramedBraid) -> FramedBraid:
-    """The move b -> h1 b h2 for h1, h2 in the framed cap stabilizer.
-
-    Both factors must pass the plat-triviality test, which every product of
-    the built-in framed Hilden generators does; arbitrary elements can
-    change the plat closure, so they are refused.
-    """
-    if not (b.n == h1.n == h2.n):
-        raise ValueError("double coset move needs equal ribbon counts")
-    for name, h in (("h1", h1), ("h2", h2)):
-        if not is_plat_trivial(h):
-            raise ValueError(f"{name} does not look like a cap stabilizer element")
-    return multiply(multiply(h1, b), h2)
+    """b -> h1 b h2 for h1, h2 in the framed cap stabilizer; see apply_move."""
+    return moves.apply_move(b, moves.MoveDescriptor("DoubleCoset", factors=(h1, h2)))
 
 
 def framed_stabilization(b: FramedBraid, sign: int) -> FramedBraid:
-    """The move b -> b t_2n^-sign sigma_2n^sign from RB_2n into RB_(2n+2)."""
-    if b.n % 2 != 0:
-        raise ValueError(f"framed stabilization needs an even ribbon count, got {b.n}")
-    return stabilize(b, 2, sign, framed=True)
+    """b -> b t_2n^-sign sigma_2n^sign from RB_2n into RB_(2n+2)."""
+    return moves.apply_move(b, moves.MoveDescriptor("FramedStabilization", sign=sign))
 
 
 def classical_stabilization(b: FramedBraid, sign: int) -> FramedBraid:
     """b -> b sigma_2n^sign without the twist, the negative control."""
-    if b.n % 2 != 0:
-        raise ValueError(f"stabilization needs an even ribbon count, got {b.n}")
-    return stabilize(b, 2, sign, framed=False)
+    return moves.apply_move(b, moves.MoveDescriptor("ClassicalStabilization", sign=sign))

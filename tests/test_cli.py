@@ -108,13 +108,49 @@ def test_move_command():
 
 @pytest.mark.parametrize("args, message", [
     (["--kind", "bogus"], "unknown move kind 'bogus'"),
-    (["--kind", "Conjugation"], "Conjugation move needs a conjugator"),
+    (["--kind", "Conjugation"], "Conjugation moves need 1 factor, got 0"),
     (["--kind", "TauConjugation", "--index", "3"], "twist index 3 out of range for n=2"),
     (["--kind", "L_over", "--split", "5"], "split 5 out of range for a word of 1 letters"),
     (["--kind", "RM", "--index", "2"], "RM moves do not use index"),
 ])
 def test_move_refusals_exit_two(args, message):
     proc = run_cli("move", "--n", "2", *args, "s1")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": {"message": message}}
+
+
+@pytest.mark.parametrize("args, stdout", [
+    (["--n", "2", "--kind", "FramedStabilization", "--sign", "1", "s1^3"],
+     '{"beta": "s1^3 s2", "framings": [-1, 0, 0, 0], '
+     '"kind": "FramedStabilization", "n": 4}\n'),
+    (["--n", "4", "--kind", "FramedStabilization", "--sign", "-1", "t1 s2"],
+     '{"beta": "s2 s4^-1", "framings": [1, 0, 0, 1, 0, 0], '
+     '"kind": "FramedStabilization", "n": 6}\n'),
+    (["--n", "2", "--kind", "ClassicalStabilization", "--sign", "1", "s1^3"],
+     '{"beta": "s1^3 s2", "framings": [0, 0, 0, 0], '
+     '"kind": "ClassicalStabilization", "n": 4}\n'),
+    (["--n", "4", "--kind", "ClassicalStabilization", "--sign", "-1", "t1 s2"],
+     '{"beta": "s2 s4^-1", "framings": [1, 0, 0, 0, 0, 0], '
+     '"kind": "ClassicalStabilization", "n": 6}\n'),
+])
+def test_plat_stabilization_moves(args, stdout):
+    proc = run_cli("move", *args)
+    assert proc.returncode == 0
+    assert proc.stdout == stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "3", "--kind", "FramedStabilization", "s1"],
+     "FramedStabilization needs an even ribbon count, got 3"),
+    (["--n", "3", "--kind", "ClassicalStabilization", "--sign", "-1", "s1"],
+     "ClassicalStabilization needs an even ribbon count, got 3"),
+    (["--n", "4", "--kind", "DoubleCoset", "s2"], "DoubleCoset moves need 2 factors, got 0"),
+    (["--n", "4", "--kind", "DoubleCoset", "--conjugator", "s2", "s2"],
+     "DoubleCoset moves need 2 factors, got 1"),
+    (["--n", "2", "--kind", "RM", "--conjugator", "s1", "s1"], "RM moves do not use factors"),
+])
+def test_plat_move_refusals_exit_two(args, message):
+    proc = run_cli("move", *args)
     assert proc.returncode == 2
     assert json.loads(proc.stdout) == {"error": {"message": message}}
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from framedbraids import fuzz
+from framedbraids import fuzz, moves
+from framedbraids.framed import FramedBraid
 from framedbraids.fuzz import (
     CLOSURE_KINDS,
     CONTROL_KINDS,
@@ -10,6 +11,8 @@ from framedbraids.fuzz import (
     FuzzConfig,
     run_fuzz,
 )
+from framedbraids.moves import MoveDescriptor, apply_move
+from framedbraids.parser import parse
 
 
 def test_config_validation():
@@ -85,3 +88,37 @@ def test_plat_kinds_respect_strand_range(monkeypatch):
     )
     assert report["failed"] == 0, report["first_failure"]
     assert set(seen) == {6, 8}
+
+
+def test_kind_lists_come_from_moves():
+    assert PLAT_KINDS is moves.PLAT_KINDS
+    assert set(CLOSURE_KINDS) | set(CONTROL_KINDS) | set(PLAT_KINDS) == set(moves.MOVE_KINDS)
+
+
+def _framed(record: dict, n: int) -> FramedBraid:
+    return FramedBraid(n, tuple(record["framings"]), parse(record["beta"], n))
+
+
+@pytest.mark.parametrize("kind", PLAT_KINDS)
+def test_a_plat_failure_replays_from_its_report(kind, monkeypatch):
+    moved = []
+
+    def recording(braid, d):
+        moved.append(apply_move(braid, d))
+        return moved[-1]
+
+    monkeypatch.setattr(fuzz, "apply_move", recording)
+    monkeypatch.setattr(fuzz, "signatures_match", lambda before, after: False)
+    report = run_fuzz(FuzzConfig(seed=5, trials=3, n_range=(4, 8), move_mix=((kind, 1),)))
+    failure = report["first_failure"]
+    assert report["failed"] == 3 and failure["trial"] == 0
+    n = failure["n"]
+    shown = failure["descriptor"]
+    if kind == "DoubleCoset":
+        assert set(shown) == {"kind", "h1", "h2"}
+        d = MoveDescriptor(kind, factors=(_framed(shown["h1"], n), _framed(shown["h2"], n)))
+    else:
+        assert set(shown) == {"kind", "sign"}
+        d = MoveDescriptor(kind, sign=shown["sign"])
+    assert shown["kind"] == kind
+    assert apply_move(_framed(failure, n), d) == moved[0]

@@ -5,7 +5,11 @@ import pytest
 from framedbraids.closure import INTEGER, closure_signature, signatures_match, with_adjusted_framing
 from framedbraids.framed import FramedBraid, framed_equal, inverse, multiply, normalize, spell
 from framedbraids.garside import are_equal
+from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
 from framedbraids.moves import (
+    L_FAMILY_KINDS,
+    MOVE_KINDS,
+    PLAT_KINDS,
     MoveDescriptor,
     apply_move,
     conjugate,
@@ -15,6 +19,12 @@ from framedbraids.moves import (
     under_inclusion,
 )
 from framedbraids.parser import parse
+from framedbraids.plat import (
+    classical_stabilization,
+    double_coset_move,
+    framed_stabilization,
+    plat_signature,
+)
 from framedbraids.words import (
     BraidWord,
     Permutation,
@@ -284,8 +294,8 @@ def test_tau_conjugation_descriptors_are_refused():
             apply_move(a, descriptor)
 
 
-NON_DEFAULT = {"split": 1, "index": 2, "sign": -1, "k": 1,
-               "conjugator": FramedBraid.identity(2), "form": 2, "inverse": True}
+NON_DEFAULT = {"split": 1, "index": 2, "sign": -1, "k": 1, "form": 2, "inverse": True}
+FACTOR_COUNT = {"Conjugation": 1, "DoubleCoset": 2}
 
 
 @pytest.mark.parametrize("kind, field", [
@@ -293,13 +303,18 @@ NON_DEFAULT = {"split": 1, "index": 2, "sign": -1, "k": 1,
     ("M", "index"),
     ("Conjugation", "sign"),
     ("RL_over", "k"),
-    ("TauConjugation", "conjugator"),
+    ("TauConjugation", "factors"),
     ("RM", "form"),
     ("TauConjugation", "inverse"),
+    ("FramedStabilization", "index"),
+    ("ClassicalStabilization", "k"),
+    ("DoubleCoset", "sign"),
 ])
 def test_descriptor_refuses_a_field_its_kind_never_reads(kind, field):
+    value = (FramedBraid.identity(2),) if field == "factors" else NON_DEFAULT[field]
+    factors = (FramedBraid.identity(2),) * FACTOR_COUNT.get(kind, 0)
     with pytest.raises(ValueError, match=f"^{kind} moves do not use {field}$"):
-        MoveDescriptor(kind, **{field: NON_DEFAULT[field]})
+        MoveDescriptor(kind, **{"factors": factors, field: value})
 
 
 def test_descriptor_accepts_exactly_the_fields_each_kind_reads():
@@ -307,18 +322,38 @@ def test_descriptor_accepts_exactly_the_fields_each_kind_reads():
     reads = {
         "L_over": l_fields, "L_under": l_fields, "RL_over": l_fields, "RL_under": l_fields,
         "IntRL_over": l_fields | {"k"}, "IntRL_under": l_fields | {"k"},
-        "M": {"sign"}, "RM": {"sign"}, "Conjugation": {"conjugator"},
-        "TauConjugation": {"index", "sign"},
+        "M": {"sign"}, "RM": {"sign"}, "Conjugation": set(),
+        "TauConjugation": {"index", "sign"}, "DoubleCoset": set(),
+        "FramedStabilization": {"sign"}, "ClassicalStabilization": {"sign"},
     }
+    assert set(reads) == set(MOVE_KINDS)
     for kind, expected in reads.items():
+        factors = (FramedBraid.identity(2),) * FACTOR_COUNT.get(kind, 0)
         accepted = set()
         for field, value in NON_DEFAULT.items():
             try:
-                MoveDescriptor(kind, **{field: value})
+                MoveDescriptor(kind, factors=factors, **{field: value})
                 accepted.add(field)
             except ValueError:
                 pass
         assert accepted == expected, kind
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_descriptor_checks_the_factor_count_when_built(kind):
+    needed = FACTOR_COUNT.get(kind, 0)
+    for count in range(4):
+        factors = (FramedBraid.identity(2),) * count
+        if count == needed:
+            assert MoveDescriptor(kind, factors=factors).factors == factors
+        elif needed == 0:
+            with pytest.raises(ValueError, match=f"^{kind} moves do not use factors$"):
+                MoveDescriptor(kind, factors=factors)
+        else:
+            plural = "s" if needed > 1 else ""
+            message = f"^{kind} moves need {needed} factor{plural}, got {count}$"
+            with pytest.raises(ValueError, match=message):
+                MoveDescriptor(kind, factors=factors)
 
 
 def test_solve_framing_transfer_examples():
@@ -361,12 +396,77 @@ def test_solve_framing_transfer_length_mismatch():
 
 def test_apply_move_dispatch():
     braid = normalize(parse("t1 s1", 2))
-    with pytest.raises(ValueError):
-        apply_move(braid, MoveDescriptor("Conjugation"))
-    result = apply_move(braid, MoveDescriptor("Conjugation", conjugator=normalize(parse("s1", 2))))
+    result = apply_move(braid, MoveDescriptor("Conjugation", factors=(normalize(parse("s1", 2)),)))
     assert framed_equal(result, normalize(parse("t2 s1", 2)))
     final = apply_move(braid, MoveDescriptor("TauConjugation", index=1, sign=1))
     assert framed_equal(final, conjugate(braid, FramedBraid(2, (1, 0), BraidWord(2))))
+
+
+def _descriptor(kind: str, rng: random.Random, braid: FramedBraid) -> MoveDescriptor:
+    """A seeded descriptor of kind that applies to braid, which has an even
+    ribbon count of at least 4."""
+    n = braid.n
+    if kind == "DoubleCoset":
+        return MoveDescriptor(kind, factors=(sample_hilden_product(rng, n // 2, 4),
+                                             sample_hilden_product(rng, n // 2, 4)))
+    if kind == "Conjugation":
+        return MoveDescriptor(kind, factors=(random_framed(rng, n, 5),))
+    if kind == "TauConjugation":
+        return MoveDescriptor(kind, index=rng.randint(1, n), sign=rng.choice([-1, 1]))
+    if kind in L_FAMILY_KINDS:
+        return MoveDescriptor(kind, split=rng.randint(0, len(spell(braid).letters)),
+                              index=rng.randint(1, n), sign=rng.choice([-1, 1]),
+                              k=rng.choice([-1, 0, 1]) if kind.startswith("IntRL") else 0)
+    return MoveDescriptor(kind, sign=rng.choice([-1, 1]))
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_apply_move_applies_every_kind(kind):
+    rng = random.Random(f"apply:{kind}")
+    for _ in range(20):
+        braid = random_framed(rng, 2 * rng.randint(2, 3), rng.randint(0, 8))
+        d = _descriptor(kind, rng, braid)
+        moved = apply_move(braid, d)
+        width = {"M": 1, "RM": 1, "FramedStabilization": 2, "ClassicalStabilization": 2}
+        grows = 1 if kind in L_FAMILY_KINDS else width.get(kind, 0)
+        assert moved.n == braid.n + grows
+        if kind in PLAT_KINDS:
+            before, after = plat_signature(braid), plat_signature(moved)
+        else:
+            convention = INTEGER if kind.startswith("IntRL") else "blackboard"
+            before = closure_signature(braid, convention)
+            after = closure_signature(moved, convention)
+        controls = ("L_over", "L_under", "M", "ClassicalStabilization")
+        assert signatures_match(before, after) == (kind not in controls), d
+
+
+def test_double_coset_membership_is_checked_in_apply_move():
+    b = normalize(parse("t1 s2 s1^-1", 4))
+    rogue, ident = normalize(parse("s2", 4)), FramedBraid.identity(4)
+    for factors, name in (((rogue, ident), "h1"), ((ident, rogue), "h2")):
+        with pytest.raises(ValueError, match=f"^{name} does not look like a cap stabilizer"):
+            apply_move(b, MoveDescriptor("DoubleCoset", factors=factors))
+    with pytest.raises(ValueError, match="equal ribbon counts"):
+        apply_move(b, MoveDescriptor("DoubleCoset", factors=(ident, FramedBraid.identity(6))))
+    for kind in ("FramedStabilization", "ClassicalStabilization"):
+        with pytest.raises(ValueError, match=f"^{kind} needs an even ribbon count, got 3$"):
+            apply_move(FramedBraid.identity(3), MoveDescriptor(kind))
+
+
+def test_plat_moves_are_apply_move():
+    rng = random.Random(50)
+    for _ in range(40):
+        half = rng.randint(1, 4)
+        braid = sample_framed_braid(rng, 2 * half, rng.randint(0, 10))
+        sign = rng.choice([-1, 1])
+        for kind, one_liner in (("FramedStabilization", framed_stabilization),
+                                ("ClassicalStabilization", classical_stabilization)):
+            assert one_liner(braid, sign) == apply_move(braid, MoveDescriptor(kind, sign=sign))
+        if half >= 2:
+            h1 = sample_hilden_product(rng, half, 6)
+            h2 = sample_hilden_product(rng, half, 6)
+            d = MoveDescriptor("DoubleCoset", factors=(h1, h2))
+            assert double_coset_move(braid, h1, h2) == apply_move(braid, d)
 
 
 def test_tau_conjugation_move_is_the_chain_endpoint():

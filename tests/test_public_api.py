@@ -1,6 +1,6 @@
 """The package exports one name per idea; aliases that only restated another
 name are gone, apply_move is the one move applier, and the names the
-benchmark and acceptance check 09 bind stay."""
+benchmark and acceptance checks 08 and 09 bind stay."""
 
 import inspect
 
@@ -62,3 +62,17 @@ def test_names_bound_by_the_benchmark_and_check_09_stay():
         assert callable(getattr(hilden, name))
     for name in ("builtin", "classical", "framed", "pure"):
         assert callable(getattr(hilden.GeneratorDictionary, name))
+
+
+def test_plat_moves_bound_by_the_benchmark_and_check_08_stay():
+    # bench/tracing.py wraps these by name, and check 08 calls the first two;
+    # each is one call of apply_move.
+    signatures = {
+        "double_coset_move": ["b", "h1", "h2"],
+        "framed_stabilization": ["b", "sign"],
+        "classical_stabilization": ["b", "sign"],
+    }
+    for name, parameters in signatures.items():
+        assert list(inspect.signature(getattr(plat, name)).parameters) == parameters
+    assert framedbraids.double_coset_move is plat.double_coset_move
+    assert framedbraids.framed_stabilization is plat.framed_stabilization

@@ -48,13 +48,13 @@ SAMPLES = [
      "PlatSignature(component_count=1, components=(PlatComponent(strands=(1, 2), "
      "framing=0, traversal=((1, 'down'), (2, 'up'))),), canonical_key=((0,), (0,), ((0,),)))"),
     (MoveDescriptor, dict(kind="RL_over", split=1, index=2, sign=-1, k=0,
-                          conjugator=None, form=1, inverse=False),
+                          factors=(), form=1, inverse=False),
      "MoveDescriptor(kind='RL_over', split=1, index=2, sign=-1, k=0, "
-     "conjugator=None, form=1, inverse=False)"),
+     "factors=(), form=1, inverse=False)"),
     (MoveDescriptor, dict(kind="Conjugation", split=0, index=1, sign=1, k=0,
-                          conjugator=B, form=1, inverse=False),
+                          factors=(B,), form=1, inverse=False),
      "MoveDescriptor(kind='Conjugation', split=0, index=1, sign=1, k=0, "
-     f"conjugator={B_REPR}, form=1, inverse=False)"),
+     f"factors=({B_REPR},), form=1, inverse=False)"),
     (FuzzConfig, dict(seed=3, trials=5, n_range=(1, 5), word_length_range=(0, 12),
                       move_mix=(("RM", 1),)),
      "FuzzConfig(seed=3, trials=5, n_range=(1, 5), word_length_range=(0, 12), "

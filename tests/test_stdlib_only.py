@@ -2,12 +2,15 @@
 names a standard-library module or the package itself. It also stays light
 to import: every `fbk` call pays for the import, so neither the package nor
 its CLI loads `dataclasses` or `inspect` (which drags in `dis`, `ast` and
-`tokenize`)."""
+`tokenize`). And its import cycles (moves and plat import each other) hold
+whichever submodule is imported first."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "framedbraids"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -70,3 +73,31 @@ def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+SUBMODULES = [path.stem for path in SOURCES if path.stem not in ("__init__", "__main__")]
+
+
+@pytest.mark.parametrize("first", SUBMODULES)
+def test_each_submodule_imports_first(first):
+    # A plain `import framedbraids.x` runs __init__ first, which fixes the
+    # order; a bare package module lets x start the import chain itself.
+    code = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('framedbraids')\n"
+        "package.__path__ = [sys.argv[1]]\n"
+        "sys.modules['framedbraids'] = package\n"
+        "importlib.import_module('framedbraids.' + sys.argv[2])\n"
+        "for name in sys.argv[3:]:\n"
+        "    importlib.import_module('framedbraids.' + name)\n"
+        "print('ok')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE), first, *SUBMODULES],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_there_are_eleven_submodules():
+    assert len(SUBMODULES) == 11
