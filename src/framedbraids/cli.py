@@ -20,7 +20,7 @@ from . import hilden
 from .closure import closure_signature
 from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
-from .moves import MoveDescriptor, apply_move, solve_framing_transfer
+from .moves import _FACTOR_COUNT, MoveDescriptor, apply_move, solve_framing_transfer
 from .parser import WordParseError, format_word, parse, signed_decimal
 from .plat import PlatComponent, plat_signature
 from .words import Permutation
@@ -148,6 +148,8 @@ def _run(args) -> int:
         factors = ()
         if args.conjugator is not None:
             factors = (normalize(parse(args.conjugator, args.n)),)
+            if args.kind not in _FACTOR_COUNT:
+                raise ValueError(f"{args.kind} moves do not use --conjugator")
         descriptor = MoveDescriptor(
             args.kind, split=args.split, index=args.index,
             sign=args.sign, k=args.k, factors=factors,

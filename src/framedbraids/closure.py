@@ -11,7 +11,7 @@ goes to the self-writhe of the component owning both strands or to the
 crossing count of the component pair, whose half is the linking number.
 Closure strands all run downward, so the crossing sign is the letter sign;
 the plat closure weights each pair total by its strands' directions.
-closure_signature of a 10-letter word on 4 strands takes about 27 us
+closure_signature of a 10-letter word on 4 strands takes about 30 us
 (2-vCPU VM, Python 3.11), canonical order included.
 
 A component's framing is the sum of its ribbons' twists plus, under the

@@ -92,6 +92,8 @@ class MoveDescriptor(_Record):
             raise ValueError(f"index must be >= 1, got {index}")
         if form not in (1, 2):
             raise ValueError(f"form must be 1 or 2, got {form}")
+        if not (isinstance(factors, tuple) and all(isinstance(f, FramedBraid) for f in factors)):
+            raise ValueError("factors must be a tuple of FramedBraid")
         values = (split, index, sign, k, factors, form, inverse)
         read, defaults = _FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
         for name, value, default in zip(self.__slots__[1:], values, defaults):

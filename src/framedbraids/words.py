@@ -31,11 +31,16 @@ AttributeError); two records are equal exactly when they have the same type
 and equal fields, and equal records hash alike; repr shows every field by
 name; copy, deepcopy and pickle rebuild it through its constructor. The one
 mutable value type, hilden.GeneratorDictionary, is a plain class.
+
+Letters are interned: sigma, tau, Letter.inverse, free reduction and
+unit_letters take them from one 256-entry memo, and the parser keeps its own.
+Identity is not part of the contract: compare letters with ==, never is.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 SIGMA = "sigma"
@@ -91,21 +96,27 @@ class Letter(_Record):
         object.__setattr__(self, "exponent", exponent)
 
     def inverse(self) -> Letter:
-        return Letter(self.kind, self.index, -self.exponent)
+        return _letter(self.kind, self.index, -self.exponent)
 
     @property
     def sign(self) -> int:
         return 1 if self.exponent > 0 else -1
 
 
+@lru_cache(maxsize=256, typed=True)
+def _letter(kind: str, index: int, exponent: int) -> Letter:
+    """Letter(kind, index, exponent), built once; typed keeps 1.0 and True apart from 1."""
+    return Letter(kind, index, exponent)
+
+
 def sigma(i: int, exponent: int = 1) -> Letter:
     """The crossing generator of strands i and i+1, to the given power."""
-    return Letter(SIGMA, i, exponent)
+    return _letter(SIGMA, i, exponent)
 
 
 def tau(j: int, exponent: int = 1) -> Letter:
     """The full-twist generator of ribbon j, to the given power."""
-    return Letter(TAU, j, exponent)
+    return _letter(TAU, j, exponent)
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -119,7 +130,7 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
         if out and out[-1].index == letter.index and out[-1].kind == letter.kind:
             total = out.pop().exponent + letter.exponent
             if total:
-                out.append(Letter(letter.kind, letter.index, total))
+                out.append(_letter(letter.kind, letter.index, total))
         else:
             out.append(letter)
     return tuple(out)
@@ -155,7 +166,7 @@ class BraidWord(_Record):
     def unit_letters(self) -> Iterator[Letter]:
         """Expand run-length syllables into unit (exponent +-1) letters."""
         for letter in self.letters:
-            unit = Letter(letter.kind, letter.index, letter.sign)
+            unit = _letter(letter.kind, letter.index, letter.sign)
             for _ in range(abs(letter.exponent)):
                 yield unit
 

@@ -15,6 +15,8 @@ package's normal-form machinery.
   the way the package did before its single crossing scan: the permutation
   first, then the components, then a crossing scan that already knows every
   strand's component and direction.
+- scan_parse parses the word DSL one character at a time, the way the
+  package did before its one-regex tokenizer.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from typing import Sequence
+
+from framedbraids.parser import WordParseError
+from framedbraids.words import SIGMA, BraidWord, Letter
 
 
 # --- signed-word utilities -------------------------------------------------
@@ -373,3 +378,52 @@ def two_pass_plat(b):
         for c in order
     )
     return len(traversals), components, ("plat",) + key
+
+
+# --- character-scan parser -------------------------------------------------
+
+def scan_parse(text: str, n: int) -> BraidWord:
+    """The word DSL parsed by a character-at-a-time scan."""
+    letters: list[Letter] = []
+    pos = 0
+    end = len(text)
+    while pos < end:
+        ch = text[pos]
+        if ch in " \t":
+            pos += 1
+            continue
+        if ch not in "st":
+            raise WordParseError(f"expected 's' or 't', found {ch!r}", pos)
+        start = pos
+        kind = SIGMA if ch == "s" else "tau"
+        pos += 1
+        index_start = pos
+        while pos < end and text[pos] in "0123456789":
+            pos += 1
+        if pos == index_start:
+            raise WordParseError("generator needs a decimal index", pos)
+        index = int(text[index_start:pos])
+        if index == 0:
+            raise WordParseError("generator index must be nonzero", index_start)
+        exponent = 1
+        if pos < end and text[pos] == "^":
+            pos += 1
+            exp_start = pos
+            if pos < end and text[pos] in "+-":
+                pos += 1
+            digits_start = pos
+            while pos < end and text[pos] in "0123456789":
+                pos += 1
+            if pos == digits_start:
+                raise WordParseError("exponent needs decimal digits", exp_start)
+            exponent = int(text[exp_start:pos])
+            if exponent == 0:
+                raise WordParseError("exponent must be nonzero", exp_start)
+        bound = n - 1 if kind == SIGMA else n
+        if index > bound:
+            raise WordParseError(
+                f"{'s' if kind == SIGMA else 't'}{index} out of range for n={n}",
+                start,
+            )
+        letters.append(Letter(kind, index, exponent))
+    return BraidWord(n, tuple(letters))

@@ -79,6 +79,18 @@ def test_parse_error_exits_two():
     assert "error" in payload and payload["error"]["offset"] == 0
 
 
+@pytest.mark.parametrize("word, message, offset", [
+    ("s1^" + "7" * 5000, "exponent has too many digits", 3),
+    ("s" + "1" * 5000, "index has too many digits", 1),
+])
+def test_digit_runs_past_the_int_limit_are_parse_errors(word, message, offset):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    proc = run_cli("nf", "--n", "3", word, timeout=10)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": {"message": f"{message} (at offset {offset})", "offset": offset}}
+
+
 def test_usage_error_exits_two():
     proc = run_cli("closure")
     assert proc.returncode == 2
@@ -147,7 +159,7 @@ def test_plat_stabilization_moves(args, stdout):
     (["--n", "4", "--kind", "DoubleCoset", "s2"], "DoubleCoset moves need 2 factors, got 0"),
     (["--n", "4", "--kind", "DoubleCoset", "--conjugator", "s2", "s2"],
      "DoubleCoset moves need 2 factors, got 1"),
-    (["--n", "2", "--kind", "RM", "--conjugator", "s1", "s1"], "RM moves do not use factors"),
+    (["--n", "2", "--kind", "RM", "--conjugator", "s1", "s1"], "RM moves do not use --conjugator"),
 ])
 def test_plat_move_refusals_exit_two(args, message):
     proc = run_cli("move", *args)

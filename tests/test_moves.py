@@ -356,6 +356,15 @@ def test_descriptor_checks_the_factor_count_when_built(kind):
                 MoveDescriptor(kind, factors=factors)
 
 
+@pytest.mark.parametrize("factors", [[FramedBraid.identity(3)], None, (BraidWord(3),)],
+                         ids=["list", "None", "BraidWord"])
+@pytest.mark.parametrize("kind", ["Conjugation", "RM"])
+def test_descriptor_takes_factors_only_as_a_tuple_of_framed_braids(kind, factors):
+    # a list was stored and then made hash() raise TypeError
+    with pytest.raises(ValueError, match="^factors must be a tuple of FramedBraid$"):
+        MoveDescriptor(kind, factors=factors)
+
+
 def test_solve_framing_transfer_examples():
     p = Permutation.identity(3)
     assert solve_framing_transfer(p, (1, 2, 3), (1, 2, 3)) == (0, 0, 0)

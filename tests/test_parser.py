@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given
 
+from framedbraids import parser, words
 from framedbraids.parser import WordParseError, format_word, parse, signed_decimal
 from framedbraids.words import BraidWord, sigma, tau
 
+from oracles import scan_parse
 from test_words import letters_strategy
 
 
@@ -89,3 +93,64 @@ def test_signed_decimal_takes_ascii_digits_only():
     for bad in ("", "+", "-", "--1", "+-1", "٣", "1٣", "1_0", " 3", "3 ", "3\n", "0x10", "1e3", "³"):
         with pytest.raises(ValueError):
             signed_decimal(bad)
+
+
+MUTATION_CHARS = "st^+-0123456789 \t\nx" + "é٣"
+
+
+def random_dsl_text(rng, n: int) -> str:
+    """A word on n strands in the DSL, with leading zeros, explicit '+'
+    signs, tabs, adjacent terms and now and then an index of n + 1."""
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        index = rng.randint(1, n + (rng.random() < 0.05))
+        term = rng.choice("st") + "0" * (rng.random() < 0.1) + str(index)
+        if rng.random() < 0.5:
+            term += "^" + rng.choice(("", "+", "-")) + "0" * (rng.random() < 0.1)
+            term += str(rng.randint(1, 12))
+        terms.append(term)
+        terms.append(rng.choice(("", " ", "  ", "\t", " \t")))
+    return rng.choice(("", " ", "\t")) + "".join(terms)
+
+
+def mutate(rng, text: str) -> str:
+    """Replace, insert or delete one character."""
+    pos = rng.randint(0, len(text))
+    op = rng.choice(("replace", "insert", "delete"))
+    keep = pos + (op != "insert")
+    added = "" if op == "delete" else rng.choice(MUTATION_CHARS)
+    return text[:pos] + added + text[keep:]
+
+
+def outcome(parse_fn, text: str, n: int):
+    """The parsed word, or the error's message and offset."""
+    try:
+        return parse_fn(text, n)
+    except WordParseError as err:
+        return str(err), err.offset
+
+
+def test_parse_agrees_with_the_character_scanner():
+    rng = random.Random(7)
+    errors = 0
+    for trial in range(20000):
+        n = rng.randint(1, 9)
+        text = random_dsl_text(rng, n)
+        if trial % 2:
+            text = mutate(rng, text)
+        expected = outcome(scan_parse, text, n)
+        assert outcome(parse, text, n) == expected, (text, n)
+        errors += isinstance(expected, tuple)
+    assert 2000 < errors < 18000
+
+
+def test_parse_errors_are_raised_on_every_call():
+    for text in ("s1 s2^0", "s0", "s1^", "s9", "s1 x"):
+        for _ in range(2):
+            with pytest.raises(WordParseError):
+                parse(text, 3)
+
+
+def test_both_letter_memos_are_bounded():
+    assert 0 < parser._term.cache_info().maxsize <= 256
+    assert 0 < words._letter.cache_info().maxsize <= 256

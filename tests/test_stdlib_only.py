@@ -2,7 +2,7 @@
 names a standard-library module or the package itself. It also stays light
 to import: every `fbk` call pays for the import, so neither the package nor
 its CLI loads `dataclasses` or `inspect` (which drags in `dis`, `ast` and
-`tokenize`). And its import cycles (moves and plat import each other) hold
+`tokenize`), and the import fills neither letter memo. And its import cycles (moves and plat import each other) hold
 whichever submodule is imported first."""
 
 import ast
@@ -67,12 +67,15 @@ def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
         "sys.path.insert(0, sys.argv[1])\n"
         "import framedbraids, framedbraids.cli\n"
         f"print(sorted({sorted(HEAVY)!r} & sys.modules.keys()))\n"
+        "from framedbraids import parser, words\n"
+        "print(parser._term.cache_info().currsize, words._letter.cache_info().currsize)\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout == "[]\n"
+    # the letter memos start empty: import builds no letters
+    assert done.stdout == "[]\n0 0\n"
 
 
 SUBMODULES = [path.stem for path in SOURCES if path.stem not in ("__init__", "__main__")]

@@ -39,6 +39,18 @@ def test_letter_validation():
         Letter("rho", 1, 1)
 
 
+def test_interned_letters_validate_and_keep_their_exponent_type():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sigma(0)
+        with pytest.raises(ValueError):
+            tau(1, 0)
+    assert sigma(1, 1.0).exponent.__class__ is float
+    assert sigma(1, True).exponent is True
+    assert sigma(1).exponent.__class__ is int
+    assert sigma(1, 2) == Letter("sigma", 1, 2)
+
+
 def test_index_bounds_against_n():
     with pytest.raises(ValueError):
         BraidWord(3, (sigma(3),))
