@@ -5,8 +5,10 @@ Exit codes: 0 on success, 1 when a verification-style command finds a
 failure (unequal words, a relation that does not hold, a failed fuzz
 trial), 2 on usage or parse errors.
 
-closure and plat print an n x n linking matrix, so their --n is capped at
-MAX_MATRIX_STRANDS; a larger strand count is a usage error.
+Every command's strand count is capped at MAX_MATRIX_STRANDS, the size at
+which closure and plat still print their n x n linking matrix in under a
+second; a larger strand count is a usage error. hilden-verify works in
+RB_2n, so its --n is at most half the cap, and fuzz caps --n-max.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
 from .moves import _FACTOR_COUNT, MoveDescriptor, apply_move, solve_framing_transfer
 from .parser import WordParseError, format_word, parse, signed_decimal
-from .plat import PlatComponent, plat_signature
+from .plat import plat_signature
 from .words import Permutation
 
 MAX_MATRIX_STRANDS = 1024
@@ -39,19 +41,21 @@ def _framed_json(b: FramedBraid) -> dict:
     return {"n": b.n, "framings": list(b.framings), "beta": format_word(b.beta)}
 
 
-def _component_json(c) -> dict:
-    out = {"strands": c.strands, "framing": c.framing}
-    if isinstance(c, PlatComponent):
-        out["traversal"] = c.traversal
-    return out
-
-
 def _signature_json(sig, matrix_name: str) -> dict:
-    """Components by field name, plus the named linking matrix."""
+    """Every component field by name, plus the named linking matrix."""
     return {
-        "components": [_component_json(c) for c in sig.components],
+        "components": [{name: getattr(c, name) for name in c._fields} for c in sig.components],
         matrix_name: [list(row) for row in getattr(sig, matrix_name)],
     }
+
+
+def _integer(text: str) -> int:
+    """signed_decimal for argparse, whose own message for a ValueError
+    would echo the whole argument."""
+    try:
+        return signed_decimal(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -71,36 +75,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     nf = sub.add_parser("nf", help="framed normal form of a word")
-    nf.add_argument("--n", type=signed_decimal, required=True)
+    nf.add_argument("--n", type=_integer, required=True)
     nf.add_argument("word")
 
     eq = sub.add_parser("eq", help="decide equality of two words in RB_n")
-    eq.add_argument("--n", type=signed_decimal, required=True)
+    eq.add_argument("--n", type=_integer, required=True)
     eq.add_argument("word1")
     eq.add_argument("word2")
 
     closure = sub.add_parser("closure", help="standard closure invariants")
-    closure.add_argument("--n", type=signed_decimal, required=True)
+    closure.add_argument("--n", type=_integer, required=True)
     closure.add_argument("--integer-framing", action="store_true")
     closure.add_argument("word")
 
     plat = sub.add_parser("plat", help="plat closure invariants")
-    plat.add_argument("--n", type=signed_decimal, required=True)
+    plat.add_argument("--n", type=_integer, required=True)
     plat.add_argument("word")
 
     move = sub.add_parser("move", help="apply one move to a word")
-    move.add_argument("--n", type=signed_decimal, required=True)
+    move.add_argument("--n", type=_integer, required=True)
     move.add_argument("--kind", required=True)
-    move.add_argument("--split", type=signed_decimal, default=0)
-    move.add_argument("--index", type=signed_decimal, default=1)
-    move.add_argument("--sign", type=signed_decimal, default=1, choices=(-1, 1))
-    move.add_argument("--k", type=signed_decimal, default=0, choices=(-1, 0, 1))
+    move.add_argument("--split", type=_integer, default=0)
+    move.add_argument("--index", type=_integer, default=1)
+    move.add_argument("--sign", type=_integer, default=1, choices=(-1, 1))
+    move.add_argument("--k", type=_integer, default=0, choices=(-1, 0, 1))
     move.add_argument("--conjugator", default=None, help="word for Conjugation moves")
     move.add_argument("word")
 
     hv = sub.add_parser("hilden-verify", help="verify a relation suite")
     hv.add_argument("--suite", required=True, choices=hilden.SUITES)
-    hv.add_argument("--n", type=signed_decimal, required=True)
+    hv.add_argument("--n", type=_integer, required=True)
     hv.add_argument("--dict", dest="dict_path", default=None,
                     help="JSON file of extra generator words in the DSL")
 
@@ -109,12 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="JSON file with permutation, delta, kappa (default stdin)")
 
     fuzz = sub.add_parser("fuzz", help="randomized move-invariance trials")
-    fuzz.add_argument("--seed", type=signed_decimal, default=0)
-    fuzz.add_argument("--trials", type=signed_decimal, default=100)
-    fuzz.add_argument("--n-min", type=signed_decimal, default=1)
-    fuzz.add_argument("--n-max", type=signed_decimal, default=5)
-    fuzz.add_argument("--len-min", type=signed_decimal, default=0)
-    fuzz.add_argument("--len-max", type=signed_decimal, default=12)
+    fuzz.add_argument("--seed", type=_integer, default=0)
+    fuzz.add_argument("--trials", type=_integer, default=100)
+    fuzz.add_argument("--n-min", type=_integer, default=1)
+    fuzz.add_argument("--n-max", type=_integer, default=5)
+    fuzz.add_argument("--len-min", type=_integer, default=0)
+    fuzz.add_argument("--len-max", type=_integer, default=12)
     fuzz.add_argument("--moves", default=None,
                       help="comma list kind=weight; default mixes the framed moves")
     return top
@@ -122,9 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     pretty = args.pretty
-    if args.command in ("closure", "plat") and args.n > MAX_MATRIX_STRANDS:
-        raise ValueError(f"{args.command} prints an n x n matrix, so --n is at most "
-                         f"{MAX_MATRIX_STRANDS}, got {args.n}")
+    if args.command != "transfer":
+        # hilden-verify works in RB_2n; fuzz draws n up to --n-max
+        flag, n = ("--n-max", args.n_max) if args.command == "fuzz" else ("--n", args.n)
+        cap = MAX_MATRIX_STRANDS // (2 if args.command == "hilden-verify" else 1)
+        if n > cap:
+            why = ("prints an n x n matrix" if args.command in ("closure", "plat")
+                   else f"works on at most {MAX_MATRIX_STRANDS} strands")
+            raise ValueError(f"{args.command} {why}, so {flag} is at most {cap}, got {n}")
     if args.command == "nf":
         _emit(_framed_json(normalize(parse(args.word, args.n))), pretty)
         return 0

@@ -43,7 +43,10 @@ class LinkComponent(_Record):
         object.__setattr__(self, "framing", framing)
 
 
-class LinkSignature(_Record):
+class _Signature(_Record):
+    """Fields of closure and plat signatures; each subclass names the matrix
+    the key holds, so a plat signature never hands out |lk| as linking."""
+
     __slots__ = ("component_count", "components", "canonical_key")
 
     def __init__(self, component_count: int, components: tuple[LinkComponent, ...],
@@ -52,13 +55,17 @@ class LinkSignature(_Record):
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "canonical_key", canonical_key)
 
+    def framings(self) -> tuple[int, ...]:
+        return tuple(c.framing for c in self.components)
+
+
+class LinkSignature(_Signature):
+    __slots__ = ()
+
     @property
     def linking(self) -> tuple[tuple[int, ...], ...]:
         """Linking matrix in component order, stored once in the key."""
         return self.canonical_key[2]
-
-    def framings(self) -> tuple[int, ...]:
-        return tuple(c.framing for c in self.components)
 
 
 def crossing_sums(beta: BraidWord) -> tuple[list[int], dict[tuple[int, int], int]]:
@@ -119,9 +126,15 @@ def closure_signature(a: FramedBraid, convention: str = BLACKBOARD) -> LinkSigna
     self_writhe, linking = component_sums(pairs, comp_of, [1] * (a.n + 1), len(cycles))
     if convention == BLACKBOARD:
         framings = [f + w for f, w in zip(framings, self_writhe)]
-    order, key = canonical_order(framings, linking)
-    components = tuple([LinkComponent(tuple(cycles[c]), framings[c]) for c in order])
-    return LinkSignature(len(cycles), components, (convention,) + key)
+    components = [LinkComponent(tuple(c), f) for c, f in zip(cycles, framings)]
+    return _build_signature(LinkSignature, convention, components, linking)
+
+
+def _build_signature(cls, name: str, components: list, matrix) -> _Signature:
+    """The one signature builder: the components in canonical order, and
+    the canonical key under the closure's name."""
+    order, key = canonical_order([c.framing for c in components], matrix)
+    return cls(len(components), tuple([components[c] for c in order]), (name,) + key)
 
 
 def knot_framing(a: FramedBraid) -> int:
@@ -160,19 +173,11 @@ def with_adjusted_framing(sig, strand: int, delta: int):
     Used by the negative-control checks: an uncompensated stabilization
     should match the original signature after exactly this adjustment.
     """
-    target = None
-    for idx, component in enumerate(sig.components):
+    for target, component in enumerate(sig.components):
         if strand in component.strands:
-            target = idx
             break
-    if target is None:
+    else:
         raise ValueError(f"no component contains strand {strand}")
-    framings = [c.framing for c in sig.components]
-    framings[target] += delta
-    order, key = canonical_order(framings, sig.canonical_key[2])
-    components = []
-    for c in order:
-        old = sig.components[c]
-        # strands and framing lead; a plat component's traversal carries over
-        components.append(type(old)(old.strands, framings[c], *old._values(old)[2:]))
-    return type(sig)(sig.component_count, tuple(components), sig.canonical_key[:1] + key)
+    components = list(sig.components)
+    components[target] = component._replace(framing=component.framing + delta)
+    return _build_signature(type(sig), sig.canonical_key[0], components, sig.canonical_key[2])

@@ -188,6 +188,11 @@ def tau_conjugation_as_RL_sequence(
     whose inverse move lands on the conjugated element. Conjugating by a
     positive twist uses over-moves, by a negative twist the mirrored
     under-moves. Every step has the closure signature of a.
+
+    The descriptors d1, d2, d3 label the steps; none of them replays through
+    apply_move. d1 (form=2) and d3 (inverse=True) are refused, and d2 labels
+    an isotopy, e1 == e2, so apply_move(e1, d2) conjugates e1 by the twist
+    instead of returning e2. Only the elements are checked.
     """
     if exp not in (-1, 1):
         raise ValueError(f"exp must be +-1, got {exp}")

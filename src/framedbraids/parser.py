@@ -42,11 +42,15 @@ class WordParseError(ValueError):
 def signed_decimal(text: str) -> int:
     """A whole signed-decimal of the grammar as an int; the CLI reads every
     integer with it. int() alone would also take non-ASCII digits, '_'
-    separators and surrounding whitespace."""
+    separators and surrounding whitespace. A run of more digits than
+    sys.get_int_max_str_digits() is refused without echoing it."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not digits or digits.strip("0123456789"):
         raise ValueError(f"expected a signed decimal integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer has too many digits ({len(digits)})") from None
 
 
 _TOKEN = re.compile(r"[ \t]*(?:([st])([0-9]*)(?:\^([+-]?[0-9]*))?|(.)|\Z)", re.DOTALL)

@@ -24,39 +24,30 @@ and is only ever used in the sound direction.
 from __future__ import annotations
 
 from . import moves
-from ._canon import canonical_order
-# Unused here: bench/tracing.py wraps plat.with_adjusted_framing by name.
-from .closure import component_sums, crossing_sums, with_adjusted_framing
+# with_adjusted_framing is unused here: bench/tracing.py wraps it by name.
+from .closure import (
+    LinkComponent, _build_signature, _Signature, component_sums, crossing_sums,
+    with_adjusted_framing,
+)
 from .framed import FramedBraid
-from .words import _Record
 
 
-class PlatComponent(_Record):
-    __slots__ = ("strands", "framing", "traversal")
+class PlatComponent(LinkComponent):
+    __slots__ = ("traversal",)
 
     def __init__(self, strands: tuple[int, ...], framing: int,
                  traversal: tuple[tuple[int, str], ...]):
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "framing", framing)
+        super().__init__(strands, framing)
         object.__setattr__(self, "traversal", traversal)
 
 
-class PlatSignature(_Record):
-    __slots__ = ("component_count", "components", "canonical_key")
-
-    def __init__(self, component_count: int, components: tuple[PlatComponent, ...],
-                 canonical_key: tuple):
-        object.__setattr__(self, "component_count", component_count)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "canonical_key", canonical_key)
+class PlatSignature(_Signature):
+    __slots__ = ()
 
     @property
     def abs_linking(self) -> tuple[tuple[int, ...], ...]:
         """|linking| matrix in component order, stored once in the key."""
         return self.canonical_key[2]
-
-    def framings(self) -> tuple[int, ...]:
-        return tuple(c.framing for c in self.components)
 
 
 def plat_signature(b: FramedBraid) -> PlatSignature:
@@ -90,17 +81,11 @@ def plat_signature(b: FramedBraid) -> PlatSignature:
         twists.append(total)
     self_writhe, linking = component_sums(pairs, comp_of, direction, len(traversals))
     abs_linking = [[abs(v) for v in row] for row in linking]
-    framings = [t + w for t, w in zip(twists, self_writhe)]
-    order, key = canonical_order(framings, abs_linking)
-    components = tuple([
-        PlatComponent(
-            tuple(sorted([strand for strand, _ in traversals[c]])),
-            framings[c],
-            traversals[c],
-        )
-        for c in order
-    ])
-    return PlatSignature(len(traversals), components, ("plat",) + key)
+    components = [
+        PlatComponent(tuple(sorted([strand for strand, _ in walk])), t + w, walk)
+        for walk, t, w in zip(traversals, twists, self_writhe)
+    ]
+    return _build_signature(PlatSignature, "plat", components, abs_linking)
 
 
 def is_plat_trivial(b: FramedBraid) -> bool:

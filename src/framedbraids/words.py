@@ -29,8 +29,12 @@ constructor validates its arguments (ValueError) and stores them once. It
 then guarantees: its fields never change (assigning or deleting one raises
 AttributeError); two records are equal exactly when they have the same type
 and equal fields, and equal records hash alike; repr shows every field by
-name; copy, deepcopy and pickle rebuild it through its constructor. The one
-mutable value type, hilden.GeneratorDictionary, is a plain class.
+name; copy, deepcopy and pickle rebuild it through its constructor. A
+record may extend another: the subclass's own fields follow its base's in
+the constructor, repr, equality, hash and pickle, and a record still equals
+only records of its exact type (plat.PlatComponent is closure.LinkComponent
+plus its traversal). The one mutable value type,
+hilden.GeneratorDictionary, is a plain class.
 
 Letters are interned: sigma, tau, Letter.inverse, free reduction and
 unit_letters take them from one 256-entry memo, and the parser keeps its own.
@@ -48,14 +52,17 @@ TAU = "tau"
 
 
 class _Record:
-    """Base of the frozen value records; a subclass lists its fields in
-    __slots__, in constructor order, and sets them with object.__setattr__."""
+    """Base of the frozen value records; a subclass lists its own fields in
+    __slots__, in constructor order after its base's, and sets them with
+    object.__setattr__. _fields holds every field name along the chain."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        get = operator.attrgetter(*cls.__slots__)
-        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        cls._fields += cls.__dict__.get("__slots__", ())
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -66,7 +73,7 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -77,6 +84,10 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values(self)
+
+    def _replace(self, **changes):
+        """A copy built by the constructor, with the named fields changed."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
 
 
 class Letter(_Record):

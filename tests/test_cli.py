@@ -181,6 +181,55 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
         assert json.loads(proc.stdout) == {"error": {"message": message}}
 
 
+@pytest.mark.parametrize("args", [
+    ("nf", "--n", "1024", "s1"),
+    ("eq", "--n", "1024", "s1 s1023", "s1023 s1"),
+    ("move", "--n", "1024", "--kind", "M", "s1"),
+    ("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3", "--len-max", "0",
+     "--moves", "RM=1"),
+], ids=["nf", "eq", "move", "fuzz"])
+def test_every_command_answers_just_under_the_strand_cap(args):
+    proc = run_cli(*args, timeout=10)
+    assert proc.returncode == 0, proc.stdout
+    assert "error" not in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command, args, flag, cap", [
+    ("nf", ("s1",), "--n", 1024),
+    ("eq", ("s1", "s1"), "--n", 1024),
+    ("move", ("--kind", "RM", "s1"), "--n", 1024),
+    ("hilden-verify", ("--suite", "hilden_1"), "--n", 512),
+    ("fuzz", ("--trials", "1"), "--n-max", 1024),
+], ids=["nf", "eq", "move", "hilden-verify", "fuzz"])
+def test_every_command_caps_the_strand_count(command, args, flag, cap):
+    for n in (cap + 1, 10 ** 11, 10 ** 20):
+        proc = run_cli(command, flag, str(n), *args, timeout=10)
+        assert proc.returncode == 2 and proc.stderr == ""
+        message = f"{command} works on at most 1024 strands, so {flag} is at most {cap}, got {n}"
+        assert json.loads(proc.stdout) == {"error": {"message": message}}
+
+
+DIGITS = "7" * 5000
+
+
+@pytest.mark.parametrize("args, env, dictionary", [
+    (("nf", "--n", DIGITS, "s1"), None, None),
+    (("fuzz", "--trials", "1", "--moves", "RM=1"), {"FBK_SEED": DIGITS}, None),
+    (("fuzz", "--trials", "1", "--moves", "RM=" + DIGITS), None, None),
+    (("hilden-verify", "--suite", "pure_framed", "--n", "2"), None, {f"x_{{1,{DIGITS}}}": ""}),
+], ids=["n", "seed-env", "move-weight", "dict-pair-index"])
+def test_integers_past_the_int_limit_exit_two_without_echo(tmp_path, args, env, dictionary):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    if dictionary is not None:
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(dictionary))
+        args += ("--dict", str(path))
+    proc = run_cli(*args, env_extra=env, timeout=10)
+    assert proc.returncode == 2
+    assert len(proc.stdout.encode()) < 300 and DIGITS[:100] not in proc.stderr
+    assert "integer has too many digits (5000)" in json.loads(proc.stdout)["error"]["message"]
+
+
 def test_transfer_command(tmp_path):
     data = {"permutation": [2, 1], "delta": [2, 0], "kappa": [1, 1]}
     path = tmp_path / "transfer.json"

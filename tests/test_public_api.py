@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import framedbraids
-from framedbraids import closure, framed, hilden, moves, plat, words
+from framedbraids import closure, framed, hilden, moves, parser, plat, words
 
 EXPORTS = [
     "BraidWord", "FramedBraid", "GarsideNormalForm", "GeneratorDictionary",
@@ -76,3 +76,19 @@ def test_plat_moves_bound_by_the_benchmark_and_check_08_stay():
         assert list(inspect.signature(getattr(plat, name)).parameters) == parameters
     assert framedbraids.double_coset_move is plat.double_coset_move
     assert framedbraids.framed_stabilization is plat.framed_stabilization
+
+
+def test_signature_surface_read_by_the_benchmark():
+    # bench/workloads.py tells the signatures apart with isinstance and
+    # reads these attributes.
+    link = closure.closure_signature(framed.normalize(parser.parse("s1^2", 2)))
+    cap = plat.plat_signature(framed.normalize(parser.parse("s2^-2 t1", 4)))
+    assert not isinstance(link, plat.PlatSignature)
+    assert not isinstance(cap, closure.LinkSignature)
+    assert link.linking == ((0, 1), (1, 0)) and not hasattr(link, "abs_linking")
+    assert cap.abs_linking == ((0, 1), (1, 0)) and not hasattr(cap, "linking")
+    assert link.component_count == len(link.components) == 2
+    assert cap.component_count == len(cap.components) == 2
+    assert not hasattr(link.components[0], "traversal")
+    assert sorted(c.traversal for c in cap.components) == [
+        ((1, "down"), (2, "up")), ((3, "down"), (4, "up"))]

@@ -1,7 +1,7 @@
 """The value-record contract of the fourteen record types: equality and
 hash by value and type, frozen fields (GeneratorDictionary stays mutable),
-copy/deepcopy/pickle round trips, the dataclass-style repr, and the
-constructors' ValueError messages."""
+copy/deepcopy/pickle round trips, the dataclass-style repr, the
+constructors' ValueError messages, and a record extending another."""
 
 import copy
 import pickle
@@ -15,7 +15,7 @@ from framedbraids.garside import GarsideNormalForm
 from framedbraids.hilden import GeneratorDictionary, RelationInstance, RelationReport
 from framedbraids.moves import MoveDescriptor
 from framedbraids.plat import PlatComponent, PlatSignature
-from framedbraids.words import BraidWord, Letter, Permutation, sigma, tau
+from framedbraids.words import BraidWord, Letter, Permutation, _Record, sigma, tau
 
 S1 = Letter(kind="sigma", index=1, exponent=1)
 B = FramedBraid(n=2, framings=(1, 0), beta=BraidWord(n=2, letters=(S1,)))
@@ -74,8 +74,25 @@ IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(SAMPLES)]
 FROZEN = [sample for sample in SAMPLES if sample[0] is not GeneratorDictionary]
 
 
+def _record_types(base=_Record):
+    """The public record types of the package, walking private bases too."""
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("framedbraids.") and not cls.__name__.startswith("_"):
+            yield cls
+        yield from _record_types(cls)
+
+
 def test_every_record_type_is_sampled():
-    assert len({cls for cls, _, _ in SAMPLES}) == 14
+    sampled = {cls for cls, _, _ in SAMPLES}
+    assert len(sampled) == 14
+    assert set(_record_types()) == sampled - {GeneratorDictionary}
+
+
+def test_a_record_extends_its_base_fields():
+    assert PlatComponent._fields == LinkComponent._fields + ("traversal",)
+    assert LinkSignature._fields == PlatSignature._fields
+    assert LinkComponent((1, 2), 0) != PlatComponent((1, 2), 0, ())
+    assert PlatComponent((1, 2), 0, ())._replace(framing=3) == PlatComponent((1, 2), 3, ())
 
 
 @pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=IDS)
