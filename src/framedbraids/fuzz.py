@@ -30,7 +30,7 @@ from .closure import (
     signatures_match,
     with_adjusted_framing,
 )
-from .framed import FramedBraid, framed_equal, inverse, multiply
+from .framed import FramedBraid, inverse, multiply
 from .moves import (INT_RL_KINDS, L_FAMILY_KINDS, MOVE_KINDS, PLAT_KINDS, MoveDescriptor,
                     apply_move, tau_conjugation_as_RL_sequence)
 from .parser import format_word
@@ -167,11 +167,10 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
         return _control_passes(detail, before, after, strand, d.sign), detail
     ok = signatures_match(before, after)
     if ok and kind == "TauConjugation":
-        # The move is also the endpoint of its RL chain, each step of which
-        # keeps the signature.
-        steps = tau_conjugation_as_RL_sequence(braid, d.index, d.sign)
-        ok = all(signatures_match(before, closure_signature(e)) for _, e in steps)
-        ok = ok and framed_equal(steps[-1][1], moved)
+        # The move is also the endpoint of its RL chain, whose two RL words
+        # spell one element with the signature of braid.
+        e1, e2, e3 = tau_conjugation_as_RL_sequence(braid, d.index, d.sign)
+        ok = e1 == e2 and e3 == moved and signatures_match(before, closure_signature(e1))
     return ok, detail
 
 

@@ -43,9 +43,8 @@ _STABILIZATIONS = {"M": (1, False), "RM": (1, True),
                    "ClassicalStabilization": (2, False), "FramedStabilization": (2, True)}
 _FACTOR_COUNT = {"Conjugation": 1, "DoubleCoset": 2}
 # The fields after kind that each kind reads; every other one must keep its
-# default. The L family also carries form and inverse, which move sequences
-# emit and apply_move refuses.
-_L_FIELDS = ("split", "index", "sign", "form", "inverse")
+# default.
+_L_FIELDS = ("split", "index", "sign")
 _FIELDS_READ = {
     **dict.fromkeys(L_FAMILY_KINDS, _L_FIELDS),
     **dict.fromkeys(INT_RL_KINDS, _L_FIELDS + ("k",)),
@@ -56,11 +55,11 @@ _FIELDS_READ = {
 
 
 class MoveDescriptor(_Record):
-    """Parameters of one move, enough to apply it or to undo it.
+    """Parameters of one move, enough to apply it.
 
     The fields after kind that each kind reads:
 
-      L_over, L_under, RL_over, RL_under   split, index, sign, form, inverse
+      L_over, L_under, RL_over, RL_under   split, index, sign
       IntRL_over, IntRL_under              the same and k
       M, RM, FramedStabilization,
       ClassicalStabilization               sign
@@ -69,17 +68,14 @@ class MoveDescriptor(_Record):
 
     split and index are the cut point in the word and the insertion position
     of the new strand; sign is the new crossing sign; k is the integer-framing
-    pair. form selects between the two word variants of an (R)L-move (1
-    inserts right of the cut column, 2 left); inverse marks a step that undoes
-    the move, as emitted in move sequences. The constructor raises ValueError
-    for a field the kind never reads that is not at its default, and for a
-    factor count other than the kind's.
+    pair. The constructor raises ValueError for a field the kind never reads
+    that is not at its default, and for a factor count other than the kind's.
     """
 
-    __slots__ = ("kind", "split", "index", "sign", "k", "factors", "form", "inverse")
+    __slots__ = ("kind", "split", "index", "sign", "k", "factors")
 
     def __init__(self, kind: str, split: int = 0, index: int = 1, sign: int = 1, k: int = 0,
-                 factors: tuple[FramedBraid, ...] = (), form: int = 1, inverse: bool = False):
+                 factors: tuple[FramedBraid, ...] = ()):
         if kind not in MOVE_KINDS:
             raise ValueError(f"unknown move kind {kind!r}")
         if sign not in (-1, 1):
@@ -90,11 +86,9 @@ class MoveDescriptor(_Record):
             raise ValueError(f"split must be >= 0, got {split}")
         if index < 1:
             raise ValueError(f"index must be >= 1, got {index}")
-        if form not in (1, 2):
-            raise ValueError(f"form must be 1 or 2, got {form}")
         if not (isinstance(factors, tuple) and all(isinstance(f, FramedBraid) for f in factors)):
             raise ValueError("factors must be a tuple of FramedBraid")
-        values = (split, index, sign, k, factors, form, inverse)
+        values = (split, index, sign, k, factors)
         read, defaults = _FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
         for name, value, default in zip(self.__slots__[1:], values, defaults):
             if value != default and name not in read:
@@ -179,20 +173,19 @@ def conjugate(a: FramedBraid, g: FramedBraid) -> FramedBraid:
 
 def tau_conjugation_as_RL_sequence(
     a: FramedBraid, i: int, exp: int
-) -> tuple[tuple[MoveDescriptor, FramedBraid], ...]:
-    """Realize conjugation by t_i^exp as explicit RL-move steps.
+) -> tuple[FramedBraid, FramedBraid, FramedBraid]:
+    """Realize conjugation by t_i^exp as a chain of RL words; return its
+    three elements (e1, e2, e3).
 
-    The chain goes up to RB_(n+1) and back: first an RL-move on the split
-    (a, 1) inserting at position i, then a framed isotopy rewriting the
-    same element as the other RL word on the split (t_i^-exp, a t_i^exp),
-    whose inverse move lands on the conjugated element. Conjugating by a
-    positive twist uses over-moves, by a negative twist the mirrored
-    under-moves. Every step has the closure signature of a.
+    The chain goes up to RB_(n+1) and back: e1 is the RL word on the split
+    (a, 1) inserting a strand at position i, e2 the other RL word on the
+    split (t_i^-exp, a t_i^exp), and e3 the product of that split in RB_n.
+    Conjugating by a positive twist uses over-words, by a negative twist the
+    mirrored under-words. Every element has the closure signature of a, and
+    exactly:
 
-    The descriptors d1, d2, d3 label the steps; none of them replays through
-    apply_move. d1 (form=2) and d3 (inverse=True) are refused, and d2 labels
-    an isotopy, e1 == e2, so apply_move(e1, d2) conjugates e1 by the twist
-    instead of returning e2. Only the elements are checked.
+      e1 == e2, as records: one element of RB_(n+1) spelled as two RL words;
+      e3 == apply_move(a, MoveDescriptor("TauConjugation", index=i, sign=exp)).
     """
     if exp not in (-1, 1):
         raise ValueError(f"exp must be +-1, got {exp}")
@@ -200,30 +193,16 @@ def tau_conjugation_as_RL_sequence(
         raise ValueError(f"twist index {i} out of range for n={a.n}")
     n = a.n
     s = -exp
-    over = exp == 1
-    kind = "RL_over" if over else "RL_under"
-    inc = over_inclusion if over else under_inclusion
+    inc = over_inclusion if exp == 1 else under_inclusion
     word = spell(a)
-
-    step1_word = concat(
-        inc(word, i), BraidWord(n + 1, (tau(i + 1, exp), sigma(i, s)))
-    )
-    d1 = MoveDescriptor(kind, split=len(word.letters), index=i, sign=s, form=2)
-    e1 = normalize(step1_word)
-
+    e1 = normalize(concat(inc(word, i), BraidWord(n + 1, (tau(i + 1, exp), sigma(i, s)))))
     left = BraidWord(n, (tau(i, -exp),))
     right = concat(word, BraidWord(n, (tau(i, exp),)))
-    step2_word = concat(
+    e2 = normalize(concat(
         concat(inc(left, i + 1), BraidWord(n + 1, (tau(i, exp), sigma(i, s)))),
         inc(right, i + 1),
-    )
-    d2 = MoveDescriptor("TauConjugation", index=i, sign=exp)
-    e2 = normalize(step2_word)
-
-    d3 = MoveDescriptor(kind, split=len(left.letters), index=i, sign=s, form=1, inverse=True)
-    e3 = normalize(concat(left, right))
-
-    return ((d1, e1), (d2, e2), (d3, e3))
+    ))
+    return e1, e2, normalize(concat(left, right))
 
 
 def solve_framing_transfer(
@@ -266,19 +245,16 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     variants compensate with the twist t^-sign on the cut ribbon, so the
     blackboard closure signature survives, and the integer variants wrap
     the word in t_(index+1)^k ... t_(index+1)^-k, which preserves the
-    integer-framing signature. Only forward form-1 L-family steps are
-    implemented; any other raises ValueError. The stabilizations widen a by
-    one ribbon (M, RM) or, on an even ribbon count, by two (Classical- and
+    integer-framing signature. The stabilizations widen a by one ribbon (M,
+    RM) or, on an even ribbon count, by two (Classical- and
     FramedStabilization) and append sigma_n^sign, after t_n^-sign for RM and
-    FramedStabilization.
-    Conjugation returns g^-1 a g; TauConjugation conjugates by t_index^sign,
-    the element its RL chain lands on. DoubleCoset returns h1 a h2, and
-    refuses a factor that fails the plat-triviality test, as an arbitrary
-    factor can change the plat closure.
+    FramedStabilization. Conjugation returns g^-1 a g; TauConjugation
+    conjugates by t_index^sign, the element its RL chain lands on.
+    DoubleCoset returns h1 a h2, and refuses a factor that fails the
+    plat-triviality test, as an arbitrary factor can change the plat
+    closure.
     """
     if d.kind in L_FAMILY_KINDS:
-        if d.form != 1 or d.inverse:
-            raise ValueError(f"apply_move applies only forward form-1 L-family moves, got {d}")
         letters = _l_move_letters(
             spell(a), d.split, d.index, d.sign, d.kind.endswith("_over"),
             twist=-d.sign if d.kind in RL_KINDS else 0,

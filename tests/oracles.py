@@ -17,6 +17,8 @@ package's normal-form machinery.
   strand's component and direction.
 - scan_parse parses the word DSL one character at a time, the way the
   package did before its one-regex tokenizer.
+- h4_member decides membership in the Hilden subgroup H_4 of B_4 through
+  an integer image in SL2(Z).
 """
 
 from __future__ import annotations
@@ -427,3 +429,31 @@ def scan_parse(text: str, n: int) -> BraidWord:
             )
         letters.append(Letter(kind, index, exponent))
     return BraidWord(n, tuple(letters))
+
+
+# --- H_4 membership through SL2(Z) ------------------------------------------
+
+Matrix2 = tuple[tuple[int, int], tuple[int, int]]
+
+
+def h4_image(beta: BraidWord) -> Matrix2:
+    """The image of a 4-strand braid in SL2(Z), with sigma_1 and sigma_3 sent
+    to [[1, 1], [0, 1]] and sigma_2 to [[1, 0], [-1, 1]], multiplied in word
+    order; tau letters carry framing only and are skipped."""
+    if beta.n != 4:
+        raise ValueError(f"H_4 lives in B_4, got a braid on {beta.n} strands")
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for letter in beta.letters:
+        if letter.kind != SIGMA:
+            continue
+        e = letter.exponent
+        if letter.index == 2:  # right multiplication by [[1, 0], [-e, 1]]
+            a, b, c, d = a - e * b, b, c - e * d, d
+        else:  # right multiplication by [[1, e], [0, 1]]
+            a, b, c, d = a, b + e * a, c, d + e * c
+    return (a, b), (c, d)
+
+
+def h4_member(beta: BraidWord) -> bool:
+    """beta lies in H_4 exactly when the lower-left entry of its image is 0."""
+    return h4_image(beta)[1][0] == 0

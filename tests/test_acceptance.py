@@ -223,14 +223,14 @@ def test_criterion_06_twist_conjugation_chain():
         exp = rng.choice([-1, 1])
         before = closure_signature(braid)
         steps = tau_conjugation_as_RL_sequence(braid, i, exp)
-        for _, element in steps:
+        for element in steps:
             if not signatures_match(before, closure_signature(element)):
                 failures.append(("signature", index, i, exp))
                 break
         twist = FramedBraid(
             n, tuple(exp if j == i - 1 else 0 for j in range(n)), BraidWord(n)
         )
-        if not framed_equal(steps[-1][1], conjugate(braid, twist)):
+        if not framed_equal(steps[-1], conjugate(braid, twist)):
             failures.append(("final element", index, i, exp))
     report(6, "twist conjugation realized by framed L-moves", failures,
            f"200 chains, {time.time() - started:.1f}s")

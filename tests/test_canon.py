@@ -68,6 +68,30 @@ def test_matches_brute_force_on_symmetric_shapes(shape):
             assert canonical_order(framings, matrix) == brute_canonical_order(framings, matrix)
 
 
+def twin_heavy_case(rng, k):
+    """Components in a few classes whose rows agree outside the class, with
+    one value inside each: fully symmetric cells, at times broken by one
+    changed entry so that a cell is only partly symmetric."""
+    label = [rng.randrange(rng.randint(1, 3)) for _ in range(k)]
+    value = {}
+    for a in range(3):
+        for b in range(a, 3):
+            value[a, b] = value[b, a] = rng.choice((0, 1, 1, -1, 2))
+    matrix = symmetric(k, lambda i, j: value[label[i], label[j]])
+    if k > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(k), 2)
+        matrix[i][j] = matrix[j][i] = rng.choice((0, 1, 3))
+    framings = [label[c] % 2 if rng.random() < 0.3 else 0 for c in range(k)]
+    return framings, matrix
+
+
+def test_matches_brute_force_on_twin_heavy_matrices():
+    rng = random.Random("canon-twins")
+    for _ in range(600):
+        framings, matrix = twin_heavy_case(rng, rng.randint(1, 7))
+        assert canonical_order(framings, matrix) == brute_canonical_order(framings, matrix)
+
+
 def test_matches_brute_force_on_short_circuit_inputs():
     rng = random.Random("canon-short-circuits")
     cases = [([], [])] + [([f], [[0]]) for f in (-2, 0, 3)]

@@ -187,7 +187,18 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
     ("move", "--n", "1024", "--kind", "M", "s1"),
     ("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3", "--len-max", "0",
      "--moves", "RM=1"),
-], ids=["nf", "eq", "move", "fuzz"])
+    # twin-heavy: ~1022 unlinked components tied beside one linked pair
+    ("closure", "--n", "1024", "s1^2"),
+    ("plat", "--n", "1024", "s2^2"),
+    ("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3"),
+    # huge exponents cost one step per syllable
+    ("nf", "--n", "4", "s1^100000000"),
+    ("closure", "--n", "4", "s1^100000000"),
+    ("plat", "--n", "4", "s1^100000000"),
+    ("move", "--n", "4", "--kind", "RL_over", "--split", "1", "s1^100000000"),
+], ids=["nf", "eq", "move", "fuzz", "closure-twins", "plat-twins", "fuzz-default-mix",
+        "nf-huge-exponent", "closure-huge-exponent", "plat-huge-exponent",
+        "move-huge-exponent"])
 def test_every_command_answers_just_under_the_strand_cap(args):
     proc = run_cli(*args, timeout=10)
     assert proc.returncode == 0, proc.stdout

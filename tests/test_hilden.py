@@ -24,6 +24,10 @@ from framedbraids.parser import parse
 from framedbraids.words import exponent_sum, permutation_of
 from framedbraids.framed import spell
 from framedbraids.garside import are_equal
+from framedbraids.fuzz import sample_hilden_product
+from framedbraids.plat import is_plat_trivial
+
+from oracles import h4_image, h4_member
 
 
 def test_classical_generator_words():
@@ -217,6 +221,27 @@ def test_plat_trivializes_examples():
     assert not plat_trivializes(normalize(parse("s2", 4)))
     with pytest.raises(ValueError):
         plat_trivializes(FramedBraid.identity(3))
+
+
+def test_builtin_generators_and_their_products_lie_in_h4():
+    # H_4 is the preimage of the upper triangular matrices under the
+    # SL2(Z) image of tests/oracles.py, an oracle independent of the plats
+    for suite in SUITES:
+        for name in SUITE_GENERATORS[suite]:
+            for i in range(1, top_index(name, 2) + 1):
+                g = builtin_generator(suite, name, i, 2)
+                assert h4_member(g.beta) and h4_member(inverse(g).beta), (suite, name, i)
+    rng = random.Random(4)
+    for _ in range(2000):
+        assert h4_member(sample_hilden_product(rng, 2, 6).beta)
+
+
+def test_plat_triviality_is_necessary_but_not_sufficient_for_h4():
+    assert not h4_member(parse("s2", 4))
+    b = normalize(parse("s1 s2^-1 s1 s2^-1 s1 s2^-1", 4))
+    assert is_plat_trivial(b)
+    assert h4_image(b.beta) == ((13, 8), (8, 5))
+    assert not h4_member(b.beta)
 
 
 def test_projection_identity_on_generators():

@@ -251,12 +251,12 @@ def test_conjugation():
 def test_tau_conjugation_sequence():
     rng = random.Random(47)
     steps = tau_conjugation_as_RL_sequence(FramedBraid.identity(2), 1, 1)
-    assert framed_equal(steps[-1][1], FramedBraid.identity(2))
+    assert framed_equal(steps[-1], FramedBraid.identity(2))
 
     a = normalize(parse("t1 s1", 2))
     twist = FramedBraid(2, (1, 0), BraidWord(2))
     steps = tau_conjugation_as_RL_sequence(a, 1, 1)
-    assert framed_equal(steps[-1][1], conjugate(a, twist))
+    assert framed_equal(steps[-1], conjugate(a, twist))
 
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -265,36 +265,30 @@ def test_tau_conjugation_sequence():
         exp = rng.choice([-1, 1])
         before = closure_signature(braid)
         steps = tau_conjugation_as_RL_sequence(braid, i, exp)
-        for _, element in steps:
+        assert len(steps) == 3 and all(isinstance(e, FramedBraid) for e in steps)
+        for element in steps:
             assert signatures_match(before, closure_signature(element))
         twist = FramedBraid(n, tuple(exp if j == i - 1 else 0 for j in range(n)), BraidWord(n))
-        assert framed_equal(steps[-1][1], conjugate(braid, twist))
-        # the middle isotopy step rewrites the same group element
-        assert framed_equal(steps[0][1], steps[1][1])
+        assert framed_equal(steps[-1], conjugate(braid, twist))
+        # the two RL words spell the same element, record for record
+        assert steps[0] == steps[1]
 
 
 @pytest.mark.parametrize(
     "kind", ["L_over", "L_under", "RL_over", "RL_under", "IntRL_over", "IntRL_under"]
 )
 def test_apply_move_refuses_unimplemented_descriptors(kind):
+    # only the forward, right-of-the-cut step is implemented, and a
+    # descriptor has no field that could ask for another one
+    assert MoveDescriptor._fields == ("kind", "split", "index", "sign", "k", "factors")
     braid = normalize(parse("t1 s1 s2^-1", 3))
-    for unhonoured in ({"form": 2}, {"inverse": True}, {"form": 2, "inverse": True}):
-        with pytest.raises(ValueError, match="form-1"):
-            apply_move(braid, MoveDescriptor(kind, split=1, index=2, **unhonoured))
+    for unhonoured in ({"form": 2}, {"inverse": True}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            MoveDescriptor(kind, split=1, index=2, **unhonoured)
     assert apply_move(braid, MoveDescriptor(kind, split=1, index=2)).n == 4
 
 
-def test_tau_conjugation_descriptors_are_refused():
-    # the chain's form-2 and inverse steps have no applier yet
-    a = normalize(parse("t1 s1", 2))
-    d1, _, d3 = (d for d, _ in tau_conjugation_as_RL_sequence(a, 1, 1))
-    assert d1.form == 2 and d3.inverse
-    for descriptor in (d1, d3):
-        with pytest.raises(ValueError, match="form-1"):
-            apply_move(a, descriptor)
-
-
-NON_DEFAULT = {"split": 1, "index": 2, "sign": -1, "k": 1, "form": 2, "inverse": True}
+NON_DEFAULT = {"split": 1, "index": 2, "sign": -1, "k": 1}
 FACTOR_COUNT = {"Conjugation": 1, "DoubleCoset": 2}
 
 
@@ -304,8 +298,6 @@ FACTOR_COUNT = {"Conjugation": 1, "DoubleCoset": 2}
     ("Conjugation", "sign"),
     ("RL_over", "k"),
     ("TauConjugation", "factors"),
-    ("RM", "form"),
-    ("TauConjugation", "inverse"),
     ("FramedStabilization", "index"),
     ("ClassicalStabilization", "k"),
     ("DoubleCoset", "sign"),
@@ -318,7 +310,7 @@ def test_descriptor_refuses_a_field_its_kind_never_reads(kind, field):
 
 
 def test_descriptor_accepts_exactly_the_fields_each_kind_reads():
-    l_fields = {"split", "index", "sign", "form", "inverse"}
+    l_fields = {"split", "index", "sign"}
     reads = {
         "L_over": l_fields, "L_under": l_fields, "RL_over": l_fields, "RL_under": l_fields,
         "IntRL_over": l_fields | {"k"}, "IntRL_under": l_fields | {"k"},
@@ -486,6 +478,6 @@ def test_tau_conjugation_move_is_the_chain_endpoint():
         i = rng.randint(1, n)
         exp = rng.choice([-1, 1])
         direct = apply_move(braid, MoveDescriptor("TauConjugation", index=i, sign=exp))
-        assert direct == tau_conjugation_as_RL_sequence(braid, i, exp)[-1][1]
+        assert direct == tau_conjugation_as_RL_sequence(braid, i, exp)[-1]
     with pytest.raises(ValueError, match="out of range"):
         apply_move(FramedBraid.identity(2), MoveDescriptor("TauConjugation", index=3))

@@ -47,14 +47,11 @@ SAMPLES = [
                          canonical_key=((0,), (0,), ((0,),))),
      "PlatSignature(component_count=1, components=(PlatComponent(strands=(1, 2), "
      "framing=0, traversal=((1, 'down'), (2, 'up'))),), canonical_key=((0,), (0,), ((0,),)))"),
-    (MoveDescriptor, dict(kind="RL_over", split=1, index=2, sign=-1, k=0,
-                          factors=(), form=1, inverse=False),
-     "MoveDescriptor(kind='RL_over', split=1, index=2, sign=-1, k=0, "
-     "factors=(), form=1, inverse=False)"),
-    (MoveDescriptor, dict(kind="Conjugation", split=0, index=1, sign=1, k=0,
-                          factors=(B,), form=1, inverse=False),
+    (MoveDescriptor, dict(kind="RL_over", split=1, index=2, sign=-1, k=0, factors=()),
+     "MoveDescriptor(kind='RL_over', split=1, index=2, sign=-1, k=0, factors=())"),
+    (MoveDescriptor, dict(kind="Conjugation", split=0, index=1, sign=1, k=0, factors=(B,)),
      "MoveDescriptor(kind='Conjugation', split=0, index=1, sign=1, k=0, "
-     f"factors=({B_REPR},), form=1, inverse=False)"),
+     f"factors=({B_REPR},))"),
     (FuzzConfig, dict(seed=3, trials=5, n_range=(1, 5), word_length_range=(0, 12),
                       move_mix=(("RM", 1),)),
      "FuzzConfig(seed=3, trials=5, n_range=(1, 5), word_length_range=(0, 12), "
@@ -167,7 +164,6 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, fields, text):
     (lambda: MoveDescriptor("IntRL_over", k=2), "k must lie in {-1, 0, 1}, got 2"),
     (lambda: MoveDescriptor("L_over", split=-1), "split must be >= 0, got -1"),
     (lambda: MoveDescriptor("L_over", index=0), "index must be >= 1, got 0"),
-    (lambda: MoveDescriptor("L_over", form=3), "form must be 1 or 2, got 3"),
     (lambda: FuzzConfig(0, 0), "trials must be >= 1"),
     (lambda: FuzzConfig(0, 1, n_range=(3, 2)), "bad strand range (3, 2)"),
     (lambda: FuzzConfig(0, 1, n_range=(0, 2)), "bad strand range (0, 2)"),
