@@ -8,7 +8,8 @@ trial), 2 on usage or parse errors.
 Every command's strand count is capped at MAX_MATRIX_STRANDS, the size at
 which closure and plat still print their n x n linking matrix in under a
 second; a larger strand count is a usage error. hilden-verify works in
-RB_2n, so its --n is at most half the cap, and fuzz caps --n-max.
+RB_2n, so its --n is at most half the cap, and fuzz caps --n-max. fuzz also
+caps --len-max at MAX_FUZZ_LETTERS, since a trial's cost grows with it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from . import hilden
 from .closure import closure_signature
 from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
-from .moves import _FACTOR_COUNT, MoveDescriptor, apply_move, solve_framing_transfer
+from .moves import FACTOR_NAMES, FIELD_VALUES, MoveDescriptor, apply_move, solve_framing_transfer
 from .parser import WordParseError, format_word, parse, signed_decimal
 from .plat import plat_signature
 from .words import Permutation
 
 MAX_MATRIX_STRANDS = 1024
+MAX_FUZZ_LETTERS = 100_000  # 3 default-mix trials at this length take about 1 s
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -92,14 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
     plat.add_argument("--n", type=_integer, required=True)
     plat.add_argument("word")
 
-    move = sub.add_parser("move", help="apply one move to a word")
+    # A flag not given stays out of args, so MoveDescriptor's defaults apply.
+    move = sub.add_parser("move", help="apply one move to a word",
+                          argument_default=argparse.SUPPRESS)
     move.add_argument("--n", type=_integer, required=True)
     move.add_argument("--kind", required=True)
-    move.add_argument("--split", type=_integer, default=0)
-    move.add_argument("--index", type=_integer, default=1)
-    move.add_argument("--sign", type=_integer, default=1, choices=(-1, 1))
-    move.add_argument("--k", type=_integer, default=0, choices=(-1, 0, 1))
-    move.add_argument("--conjugator", default=None, help="word for Conjugation moves")
+    move.add_argument("--split", type=_integer)
+    move.add_argument("--index", type=_integer)
+    move.add_argument("--sign", type=_integer, choices=FIELD_VALUES["sign"])
+    move.add_argument("--k", type=_integer, choices=FIELD_VALUES["k"])
+    move.add_argument("--conjugator", help="word for Conjugation moves")
     move.add_argument("word")
 
     hv = sub.add_parser("hilden-verify", help="verify a relation suite")
@@ -155,15 +159,12 @@ def _run(args) -> int:
     if args.command == "move":
         braid = normalize(parse(args.word, args.n))
         factors = ()
-        if args.conjugator is not None:
+        if "conjugator" in args:
             factors = (normalize(parse(args.conjugator, args.n)),)
-            if args.kind not in _FACTOR_COUNT:
+            if args.kind not in FACTOR_NAMES:
                 raise ValueError(f"{args.kind} moves do not use --conjugator")
-        descriptor = MoveDescriptor(
-            args.kind, split=args.split, index=args.index,
-            sign=args.sign, k=args.k, factors=factors,
-        )
-        result = apply_move(braid, descriptor)
+        given = {k: v for k, v in vars(args).items() if k in MoveDescriptor._fields}
+        result = apply_move(braid, MoveDescriptor(factors=factors, **given))
         _emit(dict(_framed_json(result), kind=args.kind), pretty)
         return 0
     if args.command == "hilden-verify":
@@ -212,6 +213,9 @@ def _run(args) -> int:
         env_seed = os.environ.get("FBK_SEED")
         if env_seed is not None:
             seed = signed_decimal(env_seed)
+        if args.len_max > MAX_FUZZ_LETTERS:
+            raise ValueError(f"fuzz works on words of at most {MAX_FUZZ_LETTERS} letters, "
+                             f"so --len-max is at most {MAX_FUZZ_LETTERS}, got {args.len_max}")
         if args.moves:
             mix = []
             for chunk in args.moves.split(","):

@@ -47,13 +47,15 @@ class _Signature(_Record):
     """Fields of closure and plat signatures; each subclass names the matrix
     the key holds, so a plat signature never hands out |lk| as linking."""
 
-    __slots__ = ("component_count", "components", "canonical_key")
+    __slots__ = ("components", "canonical_key")
 
-    def __init__(self, component_count: int, components: tuple[LinkComponent, ...],
-                 canonical_key: tuple):
-        object.__setattr__(self, "component_count", component_count)
+    def __init__(self, components: tuple[LinkComponent, ...], canonical_key: tuple):
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "canonical_key", canonical_key)
+
+    @property
+    def component_count(self) -> int:
+        return len(self.components)
 
     def framings(self) -> tuple[int, ...]:
         return tuple(c.framing for c in self.components)
@@ -134,7 +136,7 @@ def _build_signature(cls, name: str, components: list, matrix) -> _Signature:
     """The one signature builder: the components in canonical order, and
     the canonical key under the closure's name."""
     order, key = canonical_order([c.framing for c in components], matrix)
-    return cls(len(components), tuple([components[c] for c in order]), (name,) + key)
+    return cls(tuple([components[c] for c in order]), (name,) + key)
 
 
 def knot_framing(a: FramedBraid) -> int:

@@ -10,8 +10,12 @@ classical stabilization moves are negative controls: their trials pass
 exactly when the affected component's framing drifts by the crossing sign
 and nothing else changes. Plat trials use an even strand count of at least
 4 inside the configured range; a configuration that gives a plat move
-weight over a range without one is rejected. A failed trial's report
-records the descriptor, factors included, so the failure can be replayed.
+weight over a range without one is rejected. The move mix names each kind
+at most once, and a trial draws its kind in proportion to the weights, at a
+cost that does not grow with them. A failed trial's report records the
+descriptor as its kind, each field that kind reads (moves.FIELDS_READ) and
+each factor under its name (moves.FACTOR_NAMES) as its framings and word,
+so the failure can be replayed.
 
 Every trial derives its own RNG from (seed, trial index), so reports are
 byte-identical across runs with the same configuration. A default trial
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from . import hilden
 from .closure import (
@@ -31,8 +37,9 @@ from .closure import (
     with_adjusted_framing,
 )
 from .framed import FramedBraid, inverse, multiply
-from .moves import (INT_RL_KINDS, L_FAMILY_KINDS, MOVE_KINDS, PLAT_KINDS, MoveDescriptor,
-                    apply_move, tau_conjugation_as_RL_sequence)
+from .moves import (FACTOR_NAMES, FIELD_VALUES, FIELDS_READ, INT_RL_KINDS, L_FAMILY_KINDS,
+                    MOVE_KINDS, PLAT_KINDS, MoveDescriptor, apply_move,
+                    tau_conjugation_as_RL_sequence)
 from .parser import format_word
 from .plat import plat_signature
 from .words import BraidWord, _Record, sigma
@@ -54,11 +61,13 @@ class FuzzConfig(_Record):
             raise ValueError("trials must be >= 1")
         if n_range[0] > n_range[1] or n_range[0] < 1:
             raise ValueError(f"bad strand range {n_range}")
-        if word_length_range[0] > word_length_range[1]:
+        if word_length_range[0] > word_length_range[1] or word_length_range[0] < 0:
             raise ValueError(f"bad length range {word_length_range}")
-        for kind, weight in move_mix:
+        for i, (kind, weight) in enumerate(move_mix):
             if kind not in ALL_KINDS:
                 raise ValueError(f"unknown move kind {kind!r}")
+            if any(kind == other for other, _ in move_mix[:i]):
+                raise ValueError(f"move kind {kind!r} is listed twice")
             if weight < 0:
                 raise ValueError("move weights must be >= 0")
         if not any(w > 0 for _, w in move_mix):
@@ -122,34 +131,34 @@ def _control_passes(detail: dict, before, after, strand: int, sign: int) -> bool
     )
 
 
+def _draw(name: str, rng: random.Random, braid: FramedBraid, config: FuzzConfig):
+    """A random value of one descriptor field or factor of a move on braid."""
+    n = braid.n
+    if name == "split":
+        return rng.randint(0, len(braid.beta.letters) + n - braid.framings.count(0))
+    if name == "index":
+        return rng.randint(1, n)
+    if name in FIELD_VALUES:
+        return rng.choice(FIELD_VALUES[name])
+    if name == "conjugator":
+        return sample_framed_braid(rng, n, rng.randint(*config.word_length_range))
+    return sample_hilden_product(rng, n // 2, 6)  # h1 or h2
+
+
 def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dict]:
     lo, hi = config.n_range
-    llo, lhi = config.word_length_range
     if kind in PLAT_KINDS:
         lo_half, hi_half = _plat_halves(config.n_range)
-        half = max(lo_half, rng.randint(max(1, lo // 2), hi_half))
-        n = 2 * half
+        n = 2 * max(lo_half, rng.randint(max(1, lo // 2), hi_half))
     else:
         n = rng.randint(lo, hi)
-    braid = sample_framed_braid(rng, n, rng.randint(llo, lhi))
-    if kind == "DoubleCoset":
-        d = MoveDescriptor(kind, factors=(sample_hilden_product(rng, half, 6),
-                                          sample_hilden_product(rng, half, 6)))
-    elif kind == "Conjugation":
-        d = MoveDescriptor(kind, factors=(sample_framed_braid(rng, n, rng.randint(llo, lhi)),))
-    elif kind == "TauConjugation":
-        d = MoveDescriptor(kind, index=rng.randint(1, n), sign=rng.choice([-1, 1]))
-    elif kind in L_FAMILY_KINDS:
-        word_len = len(braid.beta.letters) + n - braid.framings.count(0)
-        d = MoveDescriptor(
-            kind,
-            split=rng.randint(0, word_len),
-            index=rng.randint(1, n),
-            sign=rng.choice([-1, 1]),
-            k=rng.choice([-1, 0, 1]) if kind in INT_RL_KINDS else 0,
-        )
-    else:  # the stabilizations
-        d = MoveDescriptor(kind, sign=rng.choice([-1, 1]))
+    braid = sample_framed_braid(rng, n, rng.randint(*config.word_length_range))
+    # The kind's fields, then its factors, in table order: the order of the
+    # draws fixes every report byte.
+    fields = {name: _draw(name, rng, braid, config)
+              for name in FIELDS_READ[kind] if name != "factors"}
+    factors = tuple([_draw(name, rng, braid, config) for name in FACTOR_NAMES.get(kind, ())])
+    d = MoveDescriptor(kind, factors=factors, **fields)
     detail = {"kind": kind, "n": n, "framings": list(braid.framings), "beta": braid.beta,
               "descriptor": d}
     moved = apply_move(braid, d)
@@ -175,32 +184,27 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
 
 
 def _descriptor_json(d: MoveDescriptor) -> dict:
-    """The fields of d that replay it, with each factor as its framings and word."""
+    """The fields of d that replay it: kind, each field the kind reads, and
+    each factor under its name as its framings and word."""
     out: dict = {"kind": d.kind}
-    if d.kind == "Conjugation":
-        (g,) = d.factors
-        out.update(conjugator_framings=list(g.framings), conjugator_beta=format_word(g.beta))
-    elif d.kind == "DoubleCoset":
-        for name, h in zip(("h1", "h2"), d.factors):
-            out[name] = {"framings": list(h.framings), "beta": format_word(h.beta)}
-    elif d.kind in L_FAMILY_KINDS:
-        out.update(split=d.split, index=d.index, sign=d.sign, k=d.k)
-    elif d.kind == "TauConjugation":
-        out.update(index=d.index, sign=d.sign)
-    else:
-        out["sign"] = d.sign
+    out.update((name, getattr(d, name)) for name in FIELDS_READ[d.kind] if name != "factors")
+    for name, h in zip(FACTOR_NAMES.get(d.kind, ()), d.factors):
+        out[name] = {"framings": list(h.framings), "beta": format_word(h.beta)}
     return out
 
 
 def run_fuzz(config: FuzzConfig) -> dict:
     """Execute the configured trials; the report is JSON-serializable."""
-    kinds = [k for k, w in config.move_mix for _ in range(w)]
+    # rng.randrange(total) over the cumulative weights is the draw that
+    # rng.choice makes over a list holding each kind weight times.
+    kinds = [k for k, _ in config.move_mix]
+    bounds = list(accumulate(w for _, w in config.move_mix))
     per_kind: dict[str, dict[str, int]] = {}
     first_failure = None
     passed = 0
     for index in range(config.trials):
         rng = random.Random(f"{config.seed}:{index}")
-        kind = rng.choice(kinds)
+        kind = kinds[bisect_right(bounds, rng.randrange(bounds[-1]))]
         ok, detail = _trial(kind, rng, config)
         bucket = per_kind.setdefault(kind, {"trials": 0, "passed": 0})
         bucket["trials"] += 1

@@ -41,15 +41,16 @@ MOVE_KINDS = L_FAMILY_KINDS + ("M", "RM", "Conjugation", "TauConjugation") + PLA
 # The stabilizations: kind -> (ribbons added, compensating twist or not).
 _STABILIZATIONS = {"M": (1, False), "RM": (1, True),
                    "ClassicalStabilization": (2, False), "FramedStabilization": (2, True)}
-_FACTOR_COUNT = {"Conjugation": 1, "DoubleCoset": 2}
-# The fields after kind that each kind reads; every other one must keep its
-# default.
+# The one statement of what each kind takes: its factor names, the values of
+# sign and k, and the fields after kind it reads (the rest keep their default).
+FACTOR_NAMES = {"Conjugation": ("conjugator",), "DoubleCoset": ("h1", "h2")}
+FIELD_VALUES = {"sign": (-1, 1), "k": (-1, 0, 1)}
 _L_FIELDS = ("split", "index", "sign")
-_FIELDS_READ = {
+FIELDS_READ = {
     **dict.fromkeys(L_FAMILY_KINDS, _L_FIELDS),
     **dict.fromkeys(INT_RL_KINDS, _L_FIELDS + ("k",)),
     **dict.fromkeys(_STABILIZATIONS, ("sign",)),
-    **dict.fromkeys(_FACTOR_COUNT, ("factors",)),
+    **dict.fromkeys(FACTOR_NAMES, ("factors",)),
     "TauConjugation": ("index", "sign"),
 }
 
@@ -64,12 +65,13 @@ class MoveDescriptor(_Record):
       M, RM, FramedStabilization,
       ClassicalStabilization               sign
       TauConjugation                       index, sign (the twist exponent)
-      Conjugation, DoubleCoset             factors: (g,) and (h1, h2)
+      Conjugation, DoubleCoset             factors: (conjugator,) and (h1, h2)
 
     split and index are the cut point in the word and the insertion position
     of the new strand; sign is the new crossing sign; k is the integer-framing
-    pair. The constructor raises ValueError for a field the kind never reads
-    that is not at its default, and for a factor count other than the kind's.
+    pair; FIELDS_READ, FACTOR_NAMES and FIELD_VALUES hold this table. The
+    constructor raises ValueError for a field the kind never reads that is
+    not at its default, and for a factor count other than the kind's.
     """
 
     __slots__ = ("kind", "split", "index", "sign", "k", "factors")
@@ -78,9 +80,9 @@ class MoveDescriptor(_Record):
                  factors: tuple[FramedBraid, ...] = ()):
         if kind not in MOVE_KINDS:
             raise ValueError(f"unknown move kind {kind!r}")
-        if sign not in (-1, 1):
+        if sign not in FIELD_VALUES["sign"]:
             raise ValueError(f"sign must be +-1, got {sign}")
-        if k not in (-1, 0, 1):
+        if k not in FIELD_VALUES["k"]:
             raise ValueError(f"k must lie in {{-1, 0, 1}}, got {k}")
         if split < 0:
             raise ValueError(f"split must be >= 0, got {split}")
@@ -89,11 +91,11 @@ class MoveDescriptor(_Record):
         if not (isinstance(factors, tuple) and all(isinstance(f, FramedBraid) for f in factors)):
             raise ValueError("factors must be a tuple of FramedBraid")
         values = (split, index, sign, k, factors)
-        read, defaults = _FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
+        read, defaults = FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
         for name, value, default in zip(self.__slots__[1:], values, defaults):
             if value != default and name not in read:
                 raise ValueError(f"{kind} moves do not use {name}")
-        count = _FACTOR_COUNT.get(kind, 0)
+        count = len(FACTOR_NAMES.get(kind, ()))
         if len(factors) != count:
             plural = "s" * (count > 1)
             raise ValueError(f"{kind} moves need {count} factor{plural}, got {len(factors)}")
@@ -187,7 +189,7 @@ def tau_conjugation_as_RL_sequence(
       e1 == e2, as records: one element of RB_(n+1) spelled as two RL words;
       e3 == apply_move(a, MoveDescriptor("TauConjugation", index=i, sign=exp)).
     """
-    if exp not in (-1, 1):
+    if exp not in FIELD_VALUES["sign"]:
         raise ValueError(f"exp must be +-1, got {exp}")
     if not 1 <= i <= a.n:
         raise ValueError(f"twist index {i} out of range for n={a.n}")

@@ -19,6 +19,8 @@ package's normal-form machinery.
   package did before its one-regex tokenizer.
 - h4_member decides membership in the Hilden subgroup H_4 of B_4 through
   an integer image in SL2(Z).
+- bridge turns a framed braid into one whose plat closure is its standard
+  closure; it multiplies with the package's framed group operations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import itertools
 from collections import deque
 from typing import Sequence
 
+from framedbraids import framed
 from framedbraids.parser import WordParseError
 from framedbraids.words import SIGMA, BraidWord, Letter
 
@@ -457,3 +460,26 @@ def h4_image(beta: BraidWord) -> Matrix2:
 def h4_member(beta: BraidWord) -> bool:
     """beta lies in H_4 exactly when the lower-left entry of its image is 0."""
     return h4_image(beta)[1][0] == 0
+
+
+# --- closure as plat -------------------------------------------------------
+
+def bridge(b):
+    """N . iota_n(b) . N^-1 in RB_2n, whose plat closure is the standard
+    closure of b on n ribbons (Birman, Canad. J. Math. 28, 1976).
+
+    N is the positive permutation braid that sends strand 2k-1 to position k
+    and strand 2k to position 2n+1-k, spelled by bubble sort: cap k of the
+    plat joins strand k of b to the untouched return strand 2n+1-k.
+    """
+    n = b.n
+    target = [(j + 1) // 2 if j % 2 else 2 * n + 1 - j // 2 for j in range(1, 2 * n + 1)]
+    letters = []
+    for end in range(2 * n - 1, 0, -1):
+        for p in range(end):
+            if target[p] > target[p + 1]:
+                target[p], target[p + 1] = target[p + 1], target[p]
+                letters.append(Letter(SIGMA, p + 1, 1))
+    wide = framed.include_natural(b, n)
+    N = framed.normalize(BraidWord(2 * n, tuple(letters)))
+    return framed.multiply(framed.multiply(N, wide), framed.inverse(N))

@@ -181,28 +181,47 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
         assert json.loads(proc.stdout) == {"error": {"message": message}}
 
 
-@pytest.mark.parametrize("args", [
-    ("nf", "--n", "1024", "s1"),
-    ("eq", "--n", "1024", "s1 s1023", "s1023 s1"),
-    ("move", "--n", "1024", "--kind", "M", "s1"),
-    ("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3", "--len-max", "0",
-     "--moves", "RM=1"),
+@pytest.mark.parametrize("args, error", [
+    (("nf", "--n", "1024", "s1"), None),
+    (("eq", "--n", "1024", "s1 s1023", "s1023 s1"), None),
+    (("move", "--n", "1024", "--kind", "M", "s1"), None),
+    (("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3", "--len-max", "0",
+      "--moves", "RM=1"), None),
     # twin-heavy: ~1022 unlinked components tied beside one linked pair
-    ("closure", "--n", "1024", "s1^2"),
-    ("plat", "--n", "1024", "s2^2"),
-    ("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3"),
+    (("closure", "--n", "1024", "s1^2"), None),
+    (("plat", "--n", "1024", "s2^2"), None),
+    (("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3"), None),
     # huge exponents cost one step per syllable
-    ("nf", "--n", "4", "s1^100000000"),
-    ("closure", "--n", "4", "s1^100000000"),
-    ("plat", "--n", "4", "s1^100000000"),
-    ("move", "--n", "4", "--kind", "RL_over", "--split", "1", "s1^100000000"),
+    (("nf", "--n", "4", "s1^100000000"), None),
+    (("closure", "--n", "4", "s1^100000000"), None),
+    (("plat", "--n", "4", "s1^100000000"), None),
+    (("move", "--n", "4", "--kind", "RL_over", "--split", "1", "s1^100000000"), None),
+    # a move weight costs nothing: no list holds a kind weight times
+    (("fuzz", "--trials", "20", "--moves", "RM=1000000000,M=1"), None),
+    (("fuzz", "--trials", "3", "--moves", "RM=1,RM=2"), "move kind 'RM' is listed twice"),
+    # a trial's cost grows with its word length, which --len-max caps
+    (("fuzz", "--trials", "3", "--len-min", "100000", "--len-max", "100000"), None),
+    (("fuzz", "--trials", "3", "--len-max", "100001"),
+     "fuzz works on words of at most 100000 letters, so --len-max is at most 100000, "
+     "got 100001"),
+    (("fuzz", "--trials", "3", "--len-max", "1000000000"),
+     "fuzz works on words of at most 100000 letters, so --len-max is at most 100000, "
+     "got 1000000000"),
+    # a negative length would make every trial pass on the empty word
+    (("fuzz", "--trials", "3", "--len-min", "-5", "--len-max", "-1", "--moves", "RM=1"),
+     "bad length range (-5, -1)"),
 ], ids=["nf", "eq", "move", "fuzz", "closure-twins", "plat-twins", "fuzz-default-mix",
         "nf-huge-exponent", "closure-huge-exponent", "plat-huge-exponent",
-        "move-huge-exponent"])
-def test_every_command_answers_just_under_the_strand_cap(args):
+        "move-huge-exponent", "fuzz-huge-weight", "fuzz-kind-twice", "fuzz-longest-words",
+        "fuzz-len-max-over", "fuzz-len-max-huge", "fuzz-negative-lengths"])
+def test_every_command_answers_just_under_the_strand_cap(args, error):
     proc = run_cli(*args, timeout=10)
-    assert proc.returncode == 0, proc.stdout
-    assert "error" not in json.loads(proc.stdout)
+    if error is None:
+        assert proc.returncode == 0, proc.stdout
+        assert "error" not in json.loads(proc.stdout)
+    else:
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"error": {"message": error}}
 
 
 @pytest.mark.parametrize("command, args, flag, cap", [

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from framedbraids.fuzz import (
     FuzzConfig,
     run_fuzz,
 )
-from framedbraids.moves import MoveDescriptor, apply_move
+from framedbraids.moves import FACTOR_NAMES, FIELDS_READ, MOVE_KINDS, MoveDescriptor, apply_move
 from framedbraids.parser import parse
 
 
@@ -24,6 +25,10 @@ def test_config_validation():
         FuzzConfig(seed=0, trials=5, move_mix=(("Nonsense", 1),))
     with pytest.raises(ValueError):
         FuzzConfig(seed=0, trials=5, move_mix=(("RM", 0),))
+    with pytest.raises(ValueError, match="bad length range"):
+        FuzzConfig(seed=0, trials=5, word_length_range=(-5, -1))
+    with pytest.raises(ValueError, match="'RM' is listed twice"):
+        FuzzConfig(seed=0, trials=5, move_mix=(("RM", 1), ("M", 1), ("RM", 2)))
     # plat moves need an even strand count >= 4 inside n_range
     for n_range in ((1, 1), (1, 3), (5, 5)):
         for kind in PLAT_KINDS:
@@ -99,8 +104,21 @@ def _framed(record: dict, n: int) -> FramedBraid:
     return FramedBraid(n, tuple(record["framings"]), parse(record["beta"], n))
 
 
-@pytest.mark.parametrize("kind", PLAT_KINDS)
-def test_a_plat_failure_replays_from_its_report(kind, monkeypatch):
+def test_weighted_draws_match_the_expanded_list():
+    # The kind draw is the one rng.choice makes over each kind repeated
+    # weight times, without building that list.
+    mix = (("RM", 3), ("M", 0), ("Conjugation", 2), ("RL_over", 5))
+    expanded = [kind for kind, weight in mix for _ in range(weight)]
+    report = run_fuzz(FuzzConfig(seed=4, trials=60, move_mix=mix))
+    expected: dict[str, int] = {}
+    for index in range(60):
+        kind = random.Random(f"4:{index}").choice(expanded)
+        expected[kind] = expected.get(kind, 0) + 1
+    assert {k: b["trials"] for k, b in report["per_kind"].items()} == expected
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_a_failure_replays_from_its_report(kind, monkeypatch):
     moved = []
 
     def recording(braid, d):
@@ -113,12 +131,12 @@ def test_a_plat_failure_replays_from_its_report(kind, monkeypatch):
     failure = report["first_failure"]
     assert report["failed"] == 3 and failure["trial"] == 0
     n = failure["n"]
-    shown = failure["descriptor"]
-    if kind == "DoubleCoset":
-        assert set(shown) == {"kind", "h1", "h2"}
-        d = MoveDescriptor(kind, factors=(_framed(shown["h1"], n), _framed(shown["h2"], n)))
-    else:
-        assert set(shown) == {"kind", "sign"}
-        d = MoveDescriptor(kind, sign=shown["sign"])
-    assert shown["kind"] == kind
+    shown = dict(failure["descriptor"])
+    assert shown.pop("kind") == kind
+    # Each field the kind reads, then each factor under its own name.
+    factor_names = FACTOR_NAMES.get(kind, ())
+    fields = [name for name in FIELDS_READ[kind] if name != "factors"]
+    assert list(shown) == fields + list(factor_names)
+    factors = tuple(_framed(shown.pop(name), n) for name in factor_names)
+    d = MoveDescriptor(kind, factors=factors, **shown)
     assert apply_move(_framed(failure, n), d) == moved[0]

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from framedbraids.closure import signatures_match, with_adjusted_framing
+from framedbraids._canon import canonical_order
+from framedbraids.closure import closure_signature, signatures_match, with_adjusted_framing
 from framedbraids.framed import FramedBraid, multiply, normalize
 from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
 from framedbraids.parser import parse
@@ -15,6 +16,7 @@ from framedbraids.plat import (
     plat_signature,
 )
 
+from oracles import bridge
 from test_cli import run_cli
 
 
@@ -128,7 +130,6 @@ def test_classical_double_coset_preserves_unframed_plat():
     # products of the classical cap stabilizer generators fix the plat as an
     # unoriented link (components and |lk|); framings may drift because the
     # bare crossing generator carries an uncompensated curl
-    from framedbraids._canon import canonical_order
     from framedbraids.framed import inverse
     from framedbraids.hilden import hilden_generator
 
@@ -151,3 +152,18 @@ def test_classical_double_coset_preserves_unframed_plat():
             product = multiply(product, factor)
         moved = multiply(multiply(product, braid), product)
         assert unframed_key(plat_signature(moved)) == unframed_key(plat_signature(braid))
+
+
+def test_the_plat_of_a_bridge_is_the_closure():
+    # The two scans agree: the framed plat closure of bridge(b) is the framed
+    # standard closure of b, compared as framings and |lk|.
+    rng = random.Random(1)
+    linked = 0
+    for _ in range(1200):
+        b = sample_framed_braid(rng, rng.randint(1, 6), rng.randint(0, 12))
+        sig = closure_signature(b)
+        abs_linking = [[abs(x) for x in row] for row in sig.linking]
+        _, key = canonical_order(sig.framings(), abs_linking)
+        assert plat_signature(bridge(b)).canonical_key[1:] == key, b
+        linked += any(map(any, abs_linking))
+    assert linked > 300  # the law sees linked closures, not only unlinks

@@ -36,16 +36,15 @@ SAMPLES = [
      "GarsideNormalForm(n=2, inf=-1, factors=(Permutation(images=(2, 1)),))"),
     (LinkComponent, dict(strands=(1, 2), framing=3),
      "LinkComponent(strands=(1, 2), framing=3)"),
-    (LinkSignature, dict(component_count=1, components=(LinkComponent((1, 2), 3),),
+    (LinkSignature, dict(components=(LinkComponent((1, 2), 3),),
                          canonical_key=((3,), (0,), ((0,),))),
-     "LinkSignature(component_count=1, components=(LinkComponent(strands=(1, 2), "
+     "LinkSignature(components=(LinkComponent(strands=(1, 2), "
      "framing=3),), canonical_key=((3,), (0,), ((0,),)))"),
     (PlatComponent, dict(strands=(1, 2), framing=0, traversal=((1, "down"), (2, "up"))),
      "PlatComponent(strands=(1, 2), framing=0, traversal=((1, 'down'), (2, 'up')))"),
-    (PlatSignature, dict(component_count=1,
-                         components=(PlatComponent((1, 2), 0, ((1, "down"), (2, "up"))),),
+    (PlatSignature, dict(components=(PlatComponent((1, 2), 0, ((1, "down"), (2, "up"))),),
                          canonical_key=((0,), (0,), ((0,),))),
-     "PlatSignature(component_count=1, components=(PlatComponent(strands=(1, 2), "
+     "PlatSignature(components=(PlatComponent(strands=(1, 2), "
      "framing=0, traversal=((1, 'down'), (2, 'up'))),), canonical_key=((0,), (0,), ((0,),)))"),
     (MoveDescriptor, dict(kind="RL_over", split=1, index=2, sign=-1, k=0, factors=()),
      "MoveDescriptor(kind='RL_over', split=1, index=2, sign=-1, k=0, factors=())"),
@@ -116,7 +115,7 @@ def test_equality_is_by_type_and_value(cls, fields, text):
 
 
 def test_signatures_of_different_closures_never_compare_equal():
-    fields = (1, (), ((0,), (0,), ((0,),)))
+    fields = ((), ((0,), (0,), ((0,),)))
     assert LinkSignature(*fields) != PlatSignature(*fields)
     assert LinkSignature(*fields) == LinkSignature(*fields)
 
