@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import hilden
@@ -209,10 +208,6 @@ def _run(args) -> int:
         _emit({"solvable": r is not None, "r": list(r) if r is not None else None}, pretty)
         return 0
     if args.command == "fuzz":
-        seed = args.seed
-        env_seed = os.environ.get("FBK_SEED")
-        if env_seed is not None:
-            seed = signed_decimal(env_seed)
         if args.len_max > MAX_FUZZ_LETTERS:
             raise ValueError(f"fuzz works on words of at most {MAX_FUZZ_LETTERS} letters, "
                              f"so --len-max is at most {MAX_FUZZ_LETTERS}, got {args.len_max}")
@@ -225,7 +220,7 @@ def _run(args) -> int:
         else:
             move_mix = DEFAULT_MIX
         config = FuzzConfig(
-            seed=seed,
+            seed=args.seed,
             trials=args.trials,
             n_range=(args.n_min, args.n_max),
             word_length_range=(args.len_min, args.len_max),

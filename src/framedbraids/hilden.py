@@ -33,10 +33,10 @@ import functools
 import unicodedata
 from typing import Callable, Iterator
 
-from .framed import FramedBraid, framed_equal, multiply, inverse, normalize
+from .framed import FramedBraid, framed_equal, normalize, spell
 from .parser import signed_decimal
 from .plat import is_plat_trivial as plat_trivializes
-from .words import BraidWord, Letter, _Record, sigma, tau
+from .words import BraidWord, Letter, _Record, invert, sigma, tau
 
 Atom = tuple[str, int]
 Word = tuple[Atom, ...]
@@ -315,37 +315,32 @@ def _omega_family(n: int) -> Iterator[RelationInstance]:
             yield _comm(f"FH.omega-omega[i={i},j={j}]", f"omega_{i}", f"omega_{j}")
 
 
-def _cyclic_case(indices: tuple[int, ...]) -> bool:
-    """True when the tuple is a rotation of its sorted order."""
-    k = len(indices)
-    rotations = [tuple(indices[(r + s) % k] for s in range(k)) for r in range(k)]
-    return tuple(sorted(indices)) in rotations
+def _rotation(indices: tuple[int, ...]) -> int | None:
+    """The r for which indices rotated left by r is strictly increasing; None
+    when there is none, as for a repeated index."""
+    for r in range(len(indices)):
+        rotated = indices[r:] + indices[:r]
+        if all(x < y for x, y in zip(rotated, rotated[1:])):
+            return r
+    return None
 
 
-_TABLE1 = {
-    "ijk": {
+# Table 1 of the pure framed relations, by the rotation of (i, j, k):
+# i < j < k, j < k < i and k < i < j.
+_TABLE1 = (
+    {
         ("p", "p", "p"), ("p", "y", "y"), ("x", "p", "p"), ("x", "x", "p"),
         ("x", "y", "y"), ("y", "p", "p"), ("y", "p", "x"), ("y", "y", "y"),
     },
-    "jki": {
+    {
         ("p", "p", "p"), ("p", "x", "y"), ("x", "p", "p"), ("x", "p", "x"),
         ("x", "x", "y"), ("y", "p", "p"), ("y", "x", "y"), ("y", "y", "p"),
     },
-    "kij": {
+    {
         ("p", "p", "p"), ("p", "x", "x"), ("x", "p", "p"), ("x", "x", "x"),
         ("x", "y", "p"), ("y", "p", "p"), ("y", "p", "y"), ("y", "x", "x"),
     },
-}
-
-
-def _triple_case(i: int, j: int, k: int) -> str | None:
-    if i < j < k:
-        return "ijk"
-    if j < k < i:
-        return "jki"
-    if k < i < j:
-        return "kij"
-    return None
+)
 
 
 def _pure_family(n: int) -> Iterator[RelationInstance]:
@@ -373,7 +368,7 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
                     quad = (i, j, k, l)
-                    if len(set(quad)) != 4 or not _cyclic_case(quad):
+                    if _rotation(quad) is None:
                         continue
                     for a in ("p", "x", "y"):
                         for b in ("p", "x", "y"):
@@ -398,10 +393,10 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                case = _triple_case(i, j, k)
-                if case is None:
+                r = _rotation((i, j, k))
+                if r is None:
                     continue
-                for a, b, c in sorted(_TABLE1[case]):
+                for a, b, c in sorted(_TABLE1[r]):
                     yield _comm(
                         f"PFH.triple[{a}_{{{i},{j}}},{b}_{{{i},{k}}},{c}_{{{j},{k}}}]",
                         _pair(a, i, j), _pair(b, i, k), _pair(c, j, k),
@@ -445,14 +440,11 @@ def suite_instances(suite: str, n: int) -> tuple[RelationInstance, ...]:
 
 
 def _evaluate(word: Word, dictionary: GeneratorDictionary) -> FramedBraid:
-    out = FramedBraid.identity(2 * dictionary.n)
+    letters: list[Letter] = []
     for name, exp in word:
-        entry = dictionary.entries[name]
-        if exp < 0:
-            entry = inverse(entry)
-        for _ in range(abs(exp)):
-            out = multiply(out, entry)
-    return out
+        spelled = spell(dictionary.entries[name])
+        letters += (invert(spelled) if exp < 0 else spelled).letters * abs(exp)
+    return normalize(BraidWord(2 * dictionary.n, tuple(letters)))
 
 
 def verify_relation_suite(

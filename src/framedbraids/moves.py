@@ -4,24 +4,29 @@ variants, (R)M-moves, conjugations, the framed Birman moves of plats, and
 the framing-transfer solver.
 
 All cut-and-reroute moves are applied through their fully right-dragged
-word forms. Writing iota for the natural inclusion into B_(n+1) and s for
-the crossing sign, the classical over and under L-moves at position i on a
-split a = a1 a2 are
+word forms, and every one of them is built from one strand drag. Writing
+iota for the natural inclusion into B_(n+1), s(a..b) for the ascending or
+descending run of crossings and
 
-  over:  s(i+1..n)^-1  iota(a1)  s(i..n-1)^-1       sn^s  s(n-1..i)    iota(a2)  s(n..i+1)
-  under: s(i+1..n)     iota(a1)  s(i..n-1)          sn^s  s(n-1..i)^-1 iota(a2)  s(n..i+1)^-1
+  drag_d[lo..hi](w) = s(lo..hi)^d  w  s(hi..lo)^-d
 
-where s(a..b) is the ascending or descending run of crossings. The framed
-RL variants insert a compensating twist of exponent -s on the cut ribbon
-immediately before the new crossing, so the spelled exponent sum is
-unchanged and the blackboard framing of the cut component survives the new
-kink. The integer variants
-instead wrap the word in t_(i+1)^k ... t_(i+1)^-k with k in {-1, 0, 1};
-they preserve the integer-framing signature, not the blackboard one.
+for a strand dragged across positions lo..hi+1 and back, with d = -1 over
+everything and d = 1 under it, the classical over and under L-moves at
+position i with crossing sign s on a split a = a1 a2 are
+
+  over:  drag_-1[i+1..n]( iota(a1)  drag_-1[i..n-1](sn^s)  iota(a2) )
+  under: drag_1[i+1..n]( iota(a1)  drag_1[i..n-1](sn^s)  iota(a2) )
+
+The framed RL variants insert a compensating twist of exponent -s on the
+cut ribbon immediately before the new crossing, so the spelled exponent sum
+is unchanged and the blackboard framing of the cut component survives the
+new kink. The integer variants instead wrap the word in
+t_(i+1)^k ... t_(i+1)^-k with k in {-1, 0, 1}; they preserve the
+integer-framing signature, not the blackboard one.
 
 The general over and under inclusions o_i, u_i realize "insert a strand at
-position i passing entirely over (under) everything" by dragging the new
-rightmost strand of the natural inclusion across: a strand moving sideways
+position i passing entirely over (under) everything" as the one drag
+drag_-1[i..n](iota(a)) and drag_1[i..n](iota(a)): a strand moving sideways
 as the over strand crosses positively leftward and negatively rightward
 under the sign convention fixed in the words module.
 """
@@ -29,8 +34,8 @@ under the sign convention fixed in the words module.
 from __future__ import annotations
 
 from . import plat
-from .framed import FramedBraid, include_natural as include_framed, inverse, multiply, normalize, spell
-from .words import BraidWord, Letter, Permutation, _Record, concat, sigma, tau
+from .framed import FramedBraid, inverse, multiply, normalize, spell
+from .words import BraidWord, Letter, Permutation, _Record, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
@@ -103,9 +108,11 @@ class MoveDescriptor(_Record):
             object.__setattr__(self, name, value)
 
 
-def _run(lo: int, hi: int, exponent: int) -> list[Letter]:
-    """Ascending crossing run sigma_lo ... sigma_hi; empty when lo > hi."""
-    return [sigma(i, exponent) for i in range(lo, hi + 1)]
+def _drag(letters: tuple[Letter, ...], lo: int, hi: int, d: int) -> tuple[Letter, ...]:
+    """drag_d[lo..hi](letters) of the module docstring, not freely reduced."""
+    run = range(lo, hi + 1)
+    return (tuple([sigma(j, d) for j in run]) + letters
+            + tuple([sigma(j, -d) for j in reversed(run)]))
 
 
 def over_inclusion(a: BraidWord, i: int) -> BraidWord:
@@ -122,20 +129,16 @@ def _dragged_inclusion(a: BraidWord, i: int, over: bool) -> BraidWord:
     n = a.n
     if not 1 <= i <= n + 1:
         raise ValueError(f"insertion position {i} out of range for n={n}")
-    drag = -1 if over else 1
-    letters = (
-        tuple(_run(i, n, drag))
-        + a.letters
-        + tuple(reversed(_run(i, n, -drag)))
-    )
-    return BraidWord(n + 1, letters)
+    return BraidWord(n + 1, _drag(a.letters, i, n, -1 if over else 1))
 
 
 def _l_move_letters(
     a: BraidWord, split: int, i: int, sign: int, over: bool, twist: int
 ) -> tuple[Letter, ...]:
     """The dragged word on n+1 strands shared by the L, RL and integer RL
-    families, for a cut after the first split letters of a.
+    families, for a cut after the first split letters of a: sigma_n^sign,
+    after its compensating twist, dragged into the cut, and then the whole
+    word dragged, as in the module docstring.
 
     twist is the exponent of the compensating twist inserted before the new
     crossing; 0 gives the classical word. In the un-dragged form that twist
@@ -150,20 +153,10 @@ def _l_move_letters(
         raise ValueError(f"split {split} out of range for a word of {len(a.letters)} letters")
     if not 1 <= i <= n:
         raise ValueError(f"L-move position {i} out of range for n={n}")
-    conj = -1 if over else 1
-    middle: list[Letter] = []
-    if twist != 0:
-        middle.append(tau(n, twist))
-    middle.append(sigma(n, sign))
-    return (
-        tuple(_run(i + 1, n, conj))
-        + a.letters[:split]
-        + tuple(_run(i, n - 1, conj))
-        + tuple(middle)
-        + tuple(reversed(_run(i, n - 1, -conj)))
-        + a.letters[split:]
-        + tuple(reversed(_run(i + 1, n, -conj)))
-    )
+    d = -1 if over else 1
+    crossing = ((tau(n, twist),) if twist else ()) + (sigma(n, sign),)
+    cut = a.letters[:split] + _drag(crossing, i, n - 1, d) + a.letters[split:]
+    return _drag(cut, i + 1, n, d)
 
 
 def conjugate(a: FramedBraid, g: FramedBraid) -> FramedBraid:
@@ -193,18 +186,13 @@ def tau_conjugation_as_RL_sequence(
         raise ValueError(f"exp must be +-1, got {exp}")
     if not 1 <= i <= a.n:
         raise ValueError(f"twist index {i} out of range for n={a.n}")
-    n = a.n
-    s = -exp
-    inc = over_inclusion if exp == 1 else under_inclusion
-    word = spell(a)
-    e1 = normalize(concat(inc(word, i), BraidWord(n + 1, (tau(i + 1, exp), sigma(i, s)))))
-    left = BraidWord(n, (tau(i, -exp),))
-    right = concat(word, BraidWord(n, (tau(i, exp),)))
-    e2 = normalize(concat(
-        concat(inc(left, i + 1), BraidWord(n + 1, (tau(i, exp), sigma(i, s)))),
-        inc(right, i + 1),
-    ))
-    return e1, e2, normalize(concat(left, right))
+    n, s = a.n, -exp  # s is also the drag: over for exp = 1, under for exp = -1
+    word = spell(a).letters
+    left, right = (tau(i, -exp),), word + (tau(i, exp),)
+    e1 = _drag(word, i, n, s) + (tau(i + 1, exp), sigma(i, s))
+    e2 = _drag(left, i + 1, n, s) + (tau(i, exp), sigma(i, s)) + _drag(right, i + 1, n, s)
+    return (normalize(BraidWord(n + 1, e1)), normalize(BraidWord(n + 1, e2)),
+            normalize(BraidWord(n, left + right)))
 
 
 def solve_framing_transfer(
@@ -268,10 +256,8 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
         ribbons, framed = _STABILIZATIONS[d.kind]
         if ribbons == 2 and a.n % 2 != 0:
             raise ValueError(f"{d.kind} needs an even ribbon count, got {a.n}")
-        wide = include_framed(a, ribbons)
-        twist = (tau(a.n, -d.sign),) if framed else ()
-        step = BraidWord(wide.n, twist + (sigma(a.n, d.sign),))
-        return normalize(concat(spell(wide), step))
+        step = ((tau(a.n, -d.sign),) if framed else ()) + (sigma(a.n, d.sign),)
+        return normalize(BraidWord(a.n + ribbons, spell(a).letters + step))
     if d.kind == "Conjugation":
         return conjugate(a, d.factors[0])
     if d.kind == "DoubleCoset":

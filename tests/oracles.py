@@ -21,17 +21,23 @@ package's normal-form machinery.
   an integer image in SL2(Z).
 - bridge turns a framed braid into one whose plat closure is its standard
   closure; it multiplies with the package's framed group operations.
+- run_l_move_letters, run_inclusion_letters, concat_tau_chain,
+  product_evaluate and product_hilden_sample build the move words, relation
+  sides and Hilden samples the way the package did before it spelled each
+  as one letter tuple normalized once: from crossing runs, and through
+  chains of inclusions, concat, multiply and inverse.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from typing import Sequence
 
-from framedbraids import framed
+from framedbraids import framed, hilden
 from framedbraids.parser import WordParseError
-from framedbraids.words import SIGMA, BraidWord, Letter
+from framedbraids.words import SIGMA, BraidWord, Letter, concat, sigma, tau
 
 
 # --- signed-word utilities -------------------------------------------------
@@ -483,3 +489,84 @@ def bridge(b):
     wide = framed.include_natural(b, n)
     N = framed.normalize(BraidWord(2 * n, tuple(letters)))
     return framed.multiply(framed.multiply(N, wide), framed.inverse(N))
+
+
+# --- move words, relation sides and samples from runs and products ---------
+
+def _run(lo: int, hi: int, exponent: int) -> list[Letter]:
+    """Ascending crossing run sigma_lo ... sigma_hi; empty when lo > hi."""
+    return [sigma(i, exponent) for i in range(lo, hi + 1)]
+
+
+def run_inclusion_letters(a: BraidWord, i: int, over: bool) -> tuple[Letter, ...]:
+    """The unreduced letters of the over (under) inclusion o_i(a) (u_i(a))."""
+    drag = -1 if over else 1
+    return tuple(_run(i, a.n, drag)) + a.letters + tuple(reversed(_run(i, a.n, -drag)))
+
+
+def run_l_move_letters(a: BraidWord, split: int, i: int, sign: int, over: bool,
+                       twist: int) -> tuple[Letter, ...]:
+    """The unreduced dragged word of an L, RL or integer RL move on a."""
+    n = a.n
+    conj = -1 if over else 1
+    middle: list[Letter] = []
+    if twist != 0:
+        middle.append(tau(n, twist))
+    middle.append(sigma(n, sign))
+    return (
+        tuple(_run(i + 1, n, conj))
+        + a.letters[:split]
+        + tuple(_run(i, n - 1, conj))
+        + tuple(middle)
+        + tuple(reversed(_run(i, n - 1, -conj)))
+        + a.letters[split:]
+        + tuple(reversed(_run(i + 1, n, -conj)))
+    )
+
+
+def _inclusion(a: BraidWord, i: int, over: bool) -> BraidWord:
+    return BraidWord(a.n + 1, run_inclusion_letters(a, i, over))
+
+
+def concat_tau_chain(a, i: int, exp: int):
+    """(e1, e2, e3) of the twist-conjugation chain, through inclusions and concat."""
+    n = a.n
+    s = -exp
+    word = framed.spell(a)
+    over = exp == 1
+    e1 = framed.normalize(concat(_inclusion(word, i, over),
+                                 BraidWord(n + 1, (tau(i + 1, exp), sigma(i, s)))))
+    left = BraidWord(n, (tau(i, -exp),))
+    right = concat(word, BraidWord(n, (tau(i, exp),)))
+    e2 = framed.normalize(concat(
+        concat(_inclusion(left, i + 1, over), BraidWord(n + 1, (tau(i, exp), sigma(i, s)))),
+        _inclusion(right, i + 1, over),
+    ))
+    return e1, e2, framed.normalize(concat(left, right))
+
+
+def product_evaluate(word, dictionary):
+    """A relation side as the product of its entries, one multiply per power."""
+    out = framed.FramedBraid.identity(2 * dictionary.n)
+    for name, exp in word:
+        entry = dictionary.entries[name]
+        if exp < 0:
+            entry = framed.inverse(entry)
+        for _ in range(abs(exp)):
+            out = framed.multiply(out, entry)
+    return out
+
+
+def product_hilden_sample(rng: random.Random, half: int, max_factors: int):
+    """fuzz.sample_hilden_product as a multiply chain, making the same draws."""
+    names = [name for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]
+             if hilden.top_index(name, half) >= 1]
+    out = framed.FramedBraid.identity(2 * half)
+    for _ in range(rng.randint(0, max_factors)):
+        name = rng.choice(names)
+        index = rng.randint(1, hilden.top_index(name, half))
+        factor = hilden.framed_hilden_generator(name, index, half)
+        if rng.random() < 0.5:
+            factor = framed.inverse(factor)
+        out = framed.multiply(out, factor)
+    return out

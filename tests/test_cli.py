@@ -12,7 +12,6 @@ CLI = [sys.executable, "-m", "framedbraids"]
 
 def run_cli(*args, env_extra=None, stdin_text=None, timeout=None):
     env = dict(os.environ)
-    env.pop("FBK_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -242,19 +241,18 @@ def test_every_command_caps_the_strand_count(command, args, flag, cap):
 DIGITS = "7" * 5000
 
 
-@pytest.mark.parametrize("args, env, dictionary", [
-    (("nf", "--n", DIGITS, "s1"), None, None),
-    (("fuzz", "--trials", "1", "--moves", "RM=1"), {"FBK_SEED": DIGITS}, None),
-    (("fuzz", "--trials", "1", "--moves", "RM=" + DIGITS), None, None),
-    (("hilden-verify", "--suite", "pure_framed", "--n", "2"), None, {f"x_{{1,{DIGITS}}}": ""}),
-], ids=["n", "seed-env", "move-weight", "dict-pair-index"])
-def test_integers_past_the_int_limit_exit_two_without_echo(tmp_path, args, env, dictionary):
+@pytest.mark.parametrize("args, dictionary", [
+    (("nf", "--n", DIGITS, "s1"), None),
+    (("fuzz", "--trials", "1", "--moves", "RM=" + DIGITS), None),
+    (("hilden-verify", "--suite", "pure_framed", "--n", "2"), {f"x_{{1,{DIGITS}}}": ""}),
+], ids=["n", "move-weight", "dict-pair-index"])
+def test_integers_past_the_int_limit_exit_two_without_echo(tmp_path, args, dictionary):
     # int() refuses more than sys.get_int_max_str_digits() (4300) digits
     if dictionary is not None:
         path = tmp_path / "gens.json"
         path.write_text(json.dumps(dictionary))
         args += ("--dict", str(path))
-    proc = run_cli(*args, env_extra=env, timeout=10)
+    proc = run_cli(*args, timeout=10)
     assert proc.returncode == 2
     assert len(proc.stdout.encode()) < 300 and DIGITS[:100] not in proc.stderr
     assert "integer has too many digits (5000)" in json.loads(proc.stdout)["error"]["message"]
@@ -291,8 +289,9 @@ def test_fuzz_determinism_and_seed_env():
     second = run_cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout  # byte identical
-    via_env = run_cli("fuzz", "--seed", "123", "--trials", "40", env_extra={"FBK_SEED": "5"})
-    assert via_env.stdout == first.stdout
+    # FBK_SEED is not read: --seed is the one way to set the seed
+    with_env = run_cli(*args, env_extra={"FBK_SEED": "123"})
+    assert with_env.returncode == 0 and with_env.stdout == first.stdout
 
 
 def test_fuzz_move_selection():
@@ -336,18 +335,15 @@ def test_pretty_flag():
     assert proc.stdout.startswith("{\n")
 
 
-@pytest.mark.parametrize("args, env", [
-    (("nf", "--n", "٣", "s2"), None),
-    (("nf", "--n", " 3", "s2"), None),
-    (("nf", "--n", "1_0", "s2"), None),
-    (("fuzz", "--trials", "٣", "--moves", "RM=1"), None),
-    (("fuzz", "--trials", "3", "--moves", "RM=٢"), None),
-    (("fuzz", "--trials", "3", "--moves", "RM=1"), {"FBK_SEED": "٣"}),
-    (("fuzz", "--trials", "3", "--moves", "RM=1"), {"FBK_SEED": " 3"}),
-], ids=["arabic-n", "space-n", "underscore-n", "arabic-trials", "arabic-weight",
-        "arabic-seed", "space-seed"])
-def test_integers_take_ascii_digits_only(args, env):
-    proc = run_cli(*args, env_extra=env)
+@pytest.mark.parametrize("args", [
+    ("nf", "--n", "٣", "s2"),
+    ("nf", "--n", " 3", "s2"),
+    ("nf", "--n", "1_0", "s2"),
+    ("fuzz", "--trials", "٣", "--moves", "RM=1"),
+    ("fuzz", "--trials", "3", "--moves", "RM=٢"),
+], ids=["arabic-n", "space-n", "underscore-n", "arabic-trials", "arabic-weight"])
+def test_integers_take_ascii_digits_only(args):
+    proc = run_cli(*args)
     assert proc.returncode == 2, proc.stdout
     assert "error" in json.loads(proc.stdout)
 
