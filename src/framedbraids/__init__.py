@@ -13,7 +13,7 @@ from .words import (
     sigma,
     tau,
 )
-from .garside import GarsideNormalForm, are_equal, delta_word, is_identity, to_normal_form
+from .garside import GarsideNormalForm, are_equal, to_normal_form
 from .framed import (
     FramedBraid,
     framed_equal,

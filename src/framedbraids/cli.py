@@ -133,6 +133,8 @@ def _run(args) -> int:
         # hilden-verify works in RB_2n; fuzz draws n up to --n-max
         flag, n = ("--n-max", args.n_max) if args.command == "fuzz" else ("--n", args.n)
         cap = MAX_MATRIX_STRANDS // (2 if args.command == "hilden-verify" else 1)
+        if n < 1 and args.command in ("nf", "eq", "closure", "plat", "move"):
+            raise ValueError(f"strand count must be >= 1, got {n}")
         if n > cap:
             why = ("prints an n x n matrix" if args.command in ("closure", "plat")
                    else f"works on at most {MAX_MATRIX_STRANDS} strands")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from . import garside
 from .words import TAU, BraidWord, Letter, _Record, concat, invert, permutation_of, tau
-from .words import include_natural as include_word
 
 
 class FramedBraid(_Record):
@@ -39,7 +38,7 @@ class FramedBraid(_Record):
 
     @classmethod
     def identity(cls, n: int) -> FramedBraid:
-        return cls(n, (0,) * n, BraidWord.identity(n))
+        return cls(n, (0,) * n, BraidWord(n))
 
 
 def normalize(w: BraidWord) -> FramedBraid:
@@ -92,8 +91,3 @@ def framed_equal(a: FramedBraid, b: FramedBraid) -> bool:
     if a.n != b.n:
         raise ValueError(f"cannot compare elements of RB_{a.n} and RB_{b.n}")
     return a.framings == b.framings and garside.are_equal(a.beta, b.beta)
-
-
-def include_natural(a: FramedBraid, m: int) -> FramedBraid:
-    """Widen to RB_(n+m): new untouched zero-framed ribbons on the right."""
-    return FramedBraid(a.n + m, a.framings + (0,) * m, include_word(a.beta, m))

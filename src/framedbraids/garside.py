@@ -29,7 +29,7 @@ strands 1.1 s and 13 s.
 
 from __future__ import annotations
 
-from .words import BraidWord, Letter, Permutation, _Record, sigma
+from .words import BraidWord, Permutation, _Record
 
 Perm = tuple[int, ...]
 
@@ -118,19 +118,6 @@ def _normalize_factors(factors: list[Perm], n: int) -> tuple[int, tuple[Perm, ..
     return lo, tuple(factors[lo:hi])
 
 
-def _reduced_word(p: Perm) -> list[int]:
-    """A reduced expression for p, pulling the smallest starting letter each time."""
-    word: list[int] = []
-    q = p
-    while True:
-        descents = _starting_set(q)
-        if not descents:
-            return word
-        i = min(descents)
-        word.append(i)
-        q = _swap_positions(q, i)
-
-
 class GarsideNormalForm(_Record):
     """Canonical form Delta^inf f1 ... fk; equal forms mean equal braids."""
 
@@ -140,21 +127,6 @@ class GarsideNormalForm(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "inf", inf)
         object.__setattr__(self, "factors", factors)
-
-    def to_word(self) -> BraidWord:
-        """Spell the normal form back as a braid word (Delta power first)."""
-        delta = _reduced_word(_w0(self.n))
-        letters: list[Letter] = []
-        if self.inf >= 0:
-            letters.extend(sigma(i + 1) for _ in range(self.inf) for i in delta)
-        else:
-            letters.extend(
-                sigma(i + 1, -1) for _ in range(-self.inf) for i in reversed(delta)
-            )
-        for factor in self.factors:
-            perm0 = tuple(x - 1 for x in factor.images)
-            letters.extend(sigma(i + 1) for i in _reduced_word(perm0))
-        return BraidWord(self.n, tuple(letters))
 
 
 def to_normal_form(a: BraidWord) -> GarsideNormalForm:
@@ -212,13 +184,3 @@ def are_equal(a: BraidWord, b: BraidWord) -> bool:
     if not x and not y:
         return True
     return to_normal_form(BraidWord(a.n, x)) == to_normal_form(BraidWord(b.n, y))
-
-
-def is_identity(a: BraidWord) -> bool:
-    nf = to_normal_form(a)
-    return nf.inf == 0 and not nf.factors
-
-
-def delta_word(n: int) -> BraidWord:
-    """The half twist Delta_n as an explicit positive word."""
-    return BraidWord(n, tuple(sigma(i + 1) for i in _reduced_word(_w0(n))))

@@ -108,8 +108,7 @@ def canonical_name(name: str) -> str:
         head, _, rest = name.partition("_")
         pair = rest.strip("{}").replace(" ", "")
         a, b = (signed_decimal(x) for x in pair.split(","))
-        lo, hi = min(a, b), max(a, b)
-        return f"{head}_{{{lo},{hi}}}"
+        return _pair(head, a, b)
     return name
 
 

@@ -214,16 +214,13 @@ def solve_framing_transfer(
     r = [0] * m
     for cycle in p.cycles():
         value = 0
-        current = cycle[0]
-        for _ in cycle:
-            nxt = p.apply(current)
+        # the last step returns to cycle[0], whose r stays 0 exactly when
+        # the cycle sums agree
+        for current, nxt in zip(cycle, cycle[1:] + cycle[:1]):
             value += kappa[current - 1] - delta[current - 1]
-            if nxt == cycle[0]:
-                if value != 0:
-                    return None
-            else:
-                r[nxt - 1] = value
-            current = nxt
+            r[nxt - 1] = value
+        if value != 0:
+            return None
     return tuple(r)
 
 

@@ -167,13 +167,6 @@ class BraidWord(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", reduced)
 
-    @classmethod
-    def identity(cls, n: int) -> BraidWord:
-        return cls(n, ())
-
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def unit_letters(self) -> Iterator[Letter]:
         """Expand run-length syllables into unit (exponent +-1) letters."""
         for letter in self.letters:
@@ -207,9 +200,8 @@ def invert(a: BraidWord) -> BraidWord:
 class Permutation(_Record):
     """A permutation of {1..n}; images[j-1] is where top position j lands.
 
-    Composition is written so that compose(q, p) applies p first, matching
-    the top-to-bottom stacking of braid words: the permutation of a product
-    word ab is permutation_of(b).compose(permutation_of(a)).
+    Braid words stack top to bottom, so the permutation of a product word ab
+    sends j to p_b(p_a(j)), where p_a and p_b are the permutations of a and b.
     """
 
     __slots__ = ("images",)
@@ -224,27 +216,8 @@ class Permutation(_Record):
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
     def apply(self, j: int) -> int:
         return self.images[j - 1]
-
-    def compose(self, other: Permutation) -> Permutation:
-        """self after other: (self.compose(other))(j) == self(other(j))."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.images[i - 1] for i in other.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for j, image in enumerate(self.images, start=1):
-            inv[image - 1] = j
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(image == j for j, image in enumerate(self.images, start=1))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest element, sorted."""

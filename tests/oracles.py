@@ -37,7 +37,7 @@ from typing import Sequence
 
 from framedbraids import framed, hilden
 from framedbraids.parser import WordParseError
-from framedbraids.words import SIGMA, BraidWord, Letter, concat, sigma, tau
+from framedbraids.words import SIGMA, BraidWord, Letter, concat, include_natural, sigma, tau
 
 
 # --- signed-word utilities -------------------------------------------------
@@ -486,7 +486,7 @@ def bridge(b):
             if target[p] > target[p + 1]:
                 target[p], target[p + 1] = target[p + 1], target[p]
                 letters.append(Letter(SIGMA, p + 1, 1))
-    wide = framed.include_natural(b, n)
+    wide = framed.FramedBraid(2 * n, b.framings + (0,) * n, include_natural(b.beta, n))
     N = framed.normalize(BraidWord(2 * n, tuple(letters)))
     return framed.multiply(framed.multiply(N, wide), framed.inverse(N))
 

@@ -209,10 +209,21 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
     # a negative length would make every trial pass on the empty word
     (("fuzz", "--trials", "3", "--len-min", "-5", "--len-max", "-1", "--moves", "RM=1"),
      "bad length range (-5, -1)"),
+    # a strand count below 1 is refused as such, not blamed on the word
+    (("nf", "--n", "-3", "s1"), "strand count must be >= 1, got -3"),
+    (("eq", "--n", "0", "s1", "s1"), "strand count must be >= 1, got 0"),
+    (("closure", "--n", "0", "s1"), "strand count must be >= 1, got 0"),
+    (("plat", "--n", "-1", "s1"), "strand count must be >= 1, got -1"),
+    (("move", "--n", "0", "--kind", "RM", "s1"), "strand count must be >= 1, got 0"),
+    (("hilden-verify", "--suite", "hilden_1", "--n", "0"),
+     "suite 'hilden_1' has no relations at n=0"),
+    (("fuzz", "--n-min", "0", "--n-max", "0", "--trials", "1"), "bad strand range (0, 0)"),
 ], ids=["nf", "eq", "move", "fuzz", "closure-twins", "plat-twins", "fuzz-default-mix",
         "nf-huge-exponent", "closure-huge-exponent", "plat-huge-exponent",
         "move-huge-exponent", "fuzz-huge-weight", "fuzz-kind-twice", "fuzz-longest-words",
-        "fuzz-len-max-over", "fuzz-len-max-huge", "fuzz-negative-lengths"])
+        "fuzz-len-max-over", "fuzz-len-max-huge", "fuzz-negative-lengths",
+        "nf-n-negative", "eq-n-zero", "closure-n-zero", "plat-n-negative", "move-n-zero",
+        "hilden-verify-n-zero", "fuzz-n-zero"])
 def test_every_command_answers_just_under_the_strand_cap(args, error):
     proc = run_cli(*args, timeout=10)
     if error is None:

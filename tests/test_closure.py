@@ -12,7 +12,6 @@ from framedbraids.closure import (
     with_adjusted_framing,
 )
 from framedbraids.framed import FramedBraid, normalize, spell
-from framedbraids.garside import delta_word
 from framedbraids.moves import conjugate
 from framedbraids.parser import parse
 from framedbraids.plat import plat_signature
@@ -21,6 +20,7 @@ from framedbraids.words import BraidWord, exponent_sum, sigma, tau
 from oracles import two_pass_closure, two_pass_plat
 from test_cli import run_cli
 from test_framed import _relation_instances, random_framed
+from test_garside import half_twist
 
 
 def test_trefoil_with_one_negative_twist():
@@ -155,7 +155,7 @@ def test_relabeling_invariance():
     for _ in range(30):
         n = rng.randint(2, 5)
         a = random_framed(rng, n, rng.randint(0, 8))
-        g = normalize(delta_word(n))
+        g = normalize(half_twist(n))
         assert signatures_match(closure_signature(a), closure_signature(conjugate(a, g)))
 
 

@@ -21,7 +21,7 @@ from framedbraids.hilden import (
     verify_relation_suite,
 )
 from framedbraids.parser import parse
-from framedbraids.words import exponent_sum, permutation_of
+from framedbraids.words import Permutation, exponent_sum, permutation_of
 from framedbraids.framed import spell
 from framedbraids.garside import are_equal
 from framedbraids.fuzz import sample_hilden_product
@@ -43,7 +43,7 @@ def test_classical_generator_words():
 
 def test_framed_generator_words():
     omega = framed_hilden_generator("omega", 1, 2)
-    assert omega.framings == (1, -1, 0, 0) and omega.beta.is_empty()
+    assert omega.framings == (1, -1, 0, 0) and not omega.beta.letters
     theta = framed_hilden_generator("theta", 1, 2)
     assert framed_equal(theta, normalize(parse("t1 s1", 4)))
     for name in ("p", "s"):
@@ -55,7 +55,7 @@ def test_framed_generator_words():
 def test_pure_generator_words():
     g = builtin_generator(PURE_SUITE, "g", 1, 2)
     assert g.framings == (1, 1, 0, 0) and g.beta == parse("s1^2", 4)
-    assert permutation_of(g.beta).is_identity()
+    assert permutation_of(g.beta) == Permutation((1, 2, 3, 4))
     assert exponent_sum(spell(g)) == 4
 
 
@@ -207,7 +207,7 @@ def test_omega_kernel_law():
 
                 factor = inverse(factor)
             product = multiply(product, factor)
-        assert product.beta.is_empty()
+        assert not product.beta.letters
         for i in range(n):
             assert product.framings[2 * i] + product.framings[2 * i + 1] == 0
         assert plat_trivializes(product)

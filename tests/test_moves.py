@@ -67,7 +67,7 @@ def test_inclusion_edge_cases():
     assert over_inclusion(a, 4) == include_natural(a, 1)
     assert under_inclusion(a, 4) == include_natural(a, 1)
     assert are_equal(over_inclusion(a, 1), under_inclusion(a, 1))
-    assert over_inclusion(BraidWord(3), 2).is_empty()
+    assert not over_inclusion(BraidWord(3), 2).letters
 
 
 def _crossing_positions(word: BraidWord, n_plus: int, new_top: int):
@@ -358,7 +358,7 @@ def test_descriptor_takes_factors_only_as_a_tuple_of_framed_braids(kind, factors
 
 
 def test_solve_framing_transfer_examples():
-    p = Permutation.identity(3)
+    p = Permutation((1, 2, 3))
     assert solve_framing_transfer(p, (1, 2, 3), (1, 2, 3)) == (0, 0, 0)
 
     swap = Permutation((2, 1))
@@ -392,7 +392,7 @@ def test_solve_framing_transfer_against_brute_force():
 
 def test_solve_framing_transfer_length_mismatch():
     with pytest.raises(ValueError):
-        solve_framing_transfer(Permutation.identity(2), (1,), (1, 2))
+        solve_framing_transfer(Permutation((1, 2)), (1,), (1, 2))
 
 
 def test_apply_move_dispatch():

@@ -28,7 +28,7 @@ def test_whitespace_handling():
 
 
 def test_parse_reduces():
-    assert parse("s1 s1^-1", 2).is_empty()
+    assert not parse("s1 s1^-1", 2).letters
     assert parse("t1 t1^2", 2).letters == (tau(1, 3),)
 
 

@@ -70,11 +70,11 @@ def test_free_reduction_on_construction():
 
 def test_cascading_reduction():
     w = BraidWord(3, (sigma(1), sigma(2), sigma(2, -1), sigma(1, -1)))
-    assert w.is_empty()
+    assert not w.letters
 
 
 def test_concat_examples():
-    assert concat(BraidWord(2, (sigma(1),)), BraidWord(2, (sigma(1, -1),))).is_empty()
+    assert not concat(BraidWord(2, (sigma(1),)), BraidWord(2, (sigma(1, -1),))).letters
     assert concat(
         BraidWord(3, (sigma(1), sigma(2))), BraidWord(3, (sigma(2),))
     ).letters == (sigma(1), sigma(2, 2))
@@ -91,7 +91,7 @@ def test_concat_strand_mismatch():
 def test_invert_examples():
     w = BraidWord(3, (sigma(1), sigma(2)))
     assert invert(w).letters == (sigma(2, -1), sigma(1, -1))
-    assert invert(BraidWord(3)).is_empty()
+    assert not invert(BraidWord(3)).letters
     w = BraidWord(2, (tau(1), sigma(1, 2)))
     assert invert(w).letters == (sigma(1, -2), tau(1, -1))
 
@@ -102,7 +102,7 @@ def test_permutation_examples():
     run = BraidWord(2, (sigma(1, -3),))
     expanded = BraidWord(2, (sigma(1, -1), sigma(1, -1), sigma(1, -1)))
     assert permutation_of(run) == permutation_of(expanded) == Permutation((2, 1))
-    assert permutation_of(BraidWord(3, (tau(1, 5),))).is_identity()
+    assert permutation_of(BraidWord(3, (tau(1, 5),))) == Permutation((1, 2, 3))
 
 
 def test_exponent_sum_examples():
@@ -120,15 +120,16 @@ def test_concat_associative(a, b, c):
 def test_identity_and_inverse(a):
     e = BraidWord(3)
     assert concat(a, e) == a == concat(e, a)
-    assert concat(a, invert(a)).is_empty()
+    assert not concat(a, invert(a)).letters
     assert invert(invert(a)) == a
 
 
 @given(words3, words3)
 def test_permutation_homomorphism(a, b):
-    lhs = permutation_of(concat(a, b))
-    rhs = permutation_of(b).compose(permutation_of(a))
-    assert lhs == rhs
+    # the product ab sends j to p_b(p_a(j))
+    p_a, p_b = permutation_of(a), permutation_of(b)
+    rhs = Permutation(tuple(p_b.apply(p_a.apply(j)) for j in range(1, 4)))
+    assert permutation_of(concat(a, b)) == rhs
 
 
 @given(words3, words3)
@@ -140,10 +141,8 @@ def test_exponent_sum_additive(a, b):
 def test_permutation_cycles():
     p = Permutation((2, 1, 3))
     assert p.cycles() == ((1, 2), (3,))
-    assert p.inverse() == p
     q = Permutation((2, 3, 1))
     assert q.cycles() == ((1, 2, 3),)
-    assert q.compose(q.inverse()).is_identity()
 
 
 def test_permutation_validation():
