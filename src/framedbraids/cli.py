@@ -7,9 +7,10 @@ trial), 2 on usage or parse errors.
 
 Every command's strand count is capped at MAX_MATRIX_STRANDS, the size at
 which closure and plat still print their n x n linking matrix in under a
-second; a larger strand count is a usage error. hilden-verify works in
-RB_2n, so its --n is at most half the cap, and fuzz caps --n-max. fuzz also
-caps --len-max at MAX_FUZZ_LETTERS, since a trial's cost grows with it.
+second; a larger strand count is a usage error. fuzz caps --n-max there.
+hilden-verify caps its --n at MAX_HILDEN_N, since its relation count grows
+with n. fuzz also caps --len-max at MAX_FUZZ_LETTERS and --trials at
+MAX_FUZZ_TRIALS, since its cost grows with both.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import sys
 
 from . import hilden
-from .closure import closure_signature
+from .closure import BLACKBOARD, INTEGER, closure_signature
 from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
 from .moves import FACTOR_NAMES, FIELD_VALUES, MoveDescriptor, apply_move, solve_framing_transfer
@@ -29,6 +30,8 @@ from .words import Permutation
 
 MAX_MATRIX_STRANDS = 1024
 MAX_FUZZ_LETTERS = 100_000  # 3 default-mix trials at this length take about 1 s
+MAX_FUZZ_TRIALS = 20_000  # default-size trials: about 5 s
+MAX_HILDEN_N = 10  # the slowest built-in suite at this --n: about 7 s
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -130,13 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     pretty = args.pretty
     if args.command != "transfer":
-        # hilden-verify works in RB_2n; fuzz draws n up to --n-max
+        # fuzz draws n up to --n-max
         flag, n = ("--n-max", args.n_max) if args.command == "fuzz" else ("--n", args.n)
-        cap = MAX_MATRIX_STRANDS // (2 if args.command == "hilden-verify" else 1)
+        cap = MAX_HILDEN_N if args.command == "hilden-verify" else MAX_MATRIX_STRANDS
         if n < 1 and args.command in ("nf", "eq", "closure", "plat", "move"):
             raise ValueError(f"strand count must be >= 1, got {n}")
         if n > cap:
             why = ("prints an n x n matrix" if args.command in ("closure", "plat")
+                   else "checks more relations as n grows" if args.command == "hilden-verify"
                    else f"works on at most {MAX_MATRIX_STRANDS} strands")
             raise ValueError(f"{args.command} {why}, so {flag} is at most {cap}, got {n}")
     if args.command == "nf":
@@ -149,7 +153,7 @@ def _run(args) -> int:
         _emit({"equal": equal}, pretty)
         return 0 if equal else 1
     if args.command == "closure":
-        convention = "integer" if args.integer_framing else "blackboard"
+        convention = INTEGER if args.integer_framing else BLACKBOARD
         sig = closure_signature(normalize(parse(args.word, args.n)), convention)
         _emit(_signature_json(sig, "linking"), pretty)
         return 0
@@ -213,6 +217,9 @@ def _run(args) -> int:
         if args.len_max > MAX_FUZZ_LETTERS:
             raise ValueError(f"fuzz works on words of at most {MAX_FUZZ_LETTERS} letters, "
                              f"so --len-max is at most {MAX_FUZZ_LETTERS}, got {args.len_max}")
+        if args.trials > MAX_FUZZ_TRIALS:
+            raise ValueError(f"fuzz runs at most {MAX_FUZZ_TRIALS} trials, "
+                             f"so --trials is at most {MAX_FUZZ_TRIALS}, got {args.trials}")
         if args.moves:
             mix = []
             for chunk in args.moves.split(","):

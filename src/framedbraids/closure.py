@@ -2,13 +2,11 @@
 Invariants of the standard closure of a framed braid.
 
 Closing a braid joins each bottom position to the matching top position, so
-the link components are the cycles of the braid permutation. The braid part
-is scanned once, one syllable s_i^e at a time: the run meets the same two
-strands e times, so it adds e to that strand pair's signed total, and swaps
-the two strands only when e is odd. The strands left at the bottom
-positions give the permutation and so the components; each pair total then
-goes to the self-writhe of the component owning both strands or to the
-crossing count of the component pair, whose half is the linking number.
+the link components are the cycles of the braid permutation. Both come
+from one words.crossing_sums scan: the strands left at the bottom positions
+give the components, and each strand pair's signed crossing total goes to
+the self-writhe of the component owning both strands or to the crossing
+count of the component pair, whose half is the linking number.
 Closure strands all run downward, so the crossing sign is the letter sign;
 the plat closure weights each pair total by its strands' directions.
 closure_signature of a 10-letter word on 4 strands takes about 30 us
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 from ._canon import canonical_order
 from .framed import FramedBraid, spell
-from .words import SIGMA, BraidWord, _Record, exponent_sum
+from .words import _Record, crossing_sums, exponent_sum
 
 BLACKBOARD = "blackboard"
 INTEGER = "integer"
@@ -68,22 +66,6 @@ class LinkSignature(_Signature):
     def linking(self) -> tuple[tuple[int, ...], ...]:
         """Linking matrix in component order, stored once in the key."""
         return self.canonical_key[2]
-
-
-def crossing_sums(beta: BraidWord) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """The one crossing scan: the strand at each bottom position (index 0
-    unused), and the signed crossing total of each strand pair (u, v), u the
-    strand entering the syllable at its left position."""
-    pos2strand = list(range(beta.n + 1))
-    pairs: dict[tuple[int, int], int] = {}
-    for letter in beta.letters:
-        if letter.kind == SIGMA:
-            i, e = letter.index, letter.exponent
-            u, v = pos2strand[i], pos2strand[i + 1]
-            pairs[u, v] = pairs.get((u, v), 0) + e
-            if e % 2:
-                pos2strand[i], pos2strand[i + 1] = v, u
-    return pos2strand, pairs
 
 
 def component_sums(

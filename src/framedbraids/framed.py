@@ -13,7 +13,7 @@ the middles that remain once the shared prefix and suffix are cancelled.
 from __future__ import annotations
 
 from . import garside
-from .words import TAU, BraidWord, Letter, _Record, concat, invert, permutation_of, tau
+from .words import TAU, BraidWord, Letter, _Record, concat, crossing_sums, invert, tau
 
 
 class FramedBraid(_Record):
@@ -72,13 +72,13 @@ def spell(a: FramedBraid) -> BraidWord:
 
 
 def multiply(a: FramedBraid, b: FramedBraid) -> FramedBraid:
-    """Semidirect product: b's twists slide left through a's braid part."""
+    """Semidirect product: b's framing at position p goes to the strand a leaves at p."""
     if a.n != b.n:
         raise ValueError(f"cannot multiply elements of RB_{a.n} and RB_{b.n}")
-    framings = tuple([
-        f + b.framings[j - 1] for f, j in zip(a.framings, permutation_of(a.beta).images)
-    ])
-    return FramedBraid(a.n, framings, concat(a.beta, b.beta))
+    framings = list(a.framings)
+    for strand, f in zip(crossing_sums(a.beta)[0][1:], b.framings):
+        framings[strand - 1] += f
+    return FramedBraid(a.n, tuple(framings), concat(a.beta, b.beta))
 
 
 def inverse(a: FramedBraid) -> FramedBraid:

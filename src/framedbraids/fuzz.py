@@ -30,6 +30,7 @@ from itertools import accumulate
 
 from . import hilden
 from .closure import (
+    BLACKBOARD,
     INTEGER,
     closure_signature,
     signatures_match,
@@ -154,7 +155,7 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
     if kind in PLAT_KINDS:
         before, after = plat_signature(braid), plat_signature(moved)
     else:
-        convention = INTEGER if kind in INT_RL_KINDS else "blackboard"
+        convention = INTEGER if kind in INT_RL_KINDS else BLACKBOARD
         before = closure_signature(braid, convention)
         after = closure_signature(moved, convention)
     if kind in CONTROL_KINDS or kind == "ClassicalStabilization":

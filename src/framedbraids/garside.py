@@ -25,6 +25,15 @@ faster than quadratically in the crossing count. Measured on a 2-vCPU Xeon
 under CPython 3.11 (bench/baseline.json): 142 crossings on 4 strands take
 85 ms, 184 crossings on 8 strands 0.63 s, and 94 and 390 crossings on 16
 strands 1.1 s and 13 s.
+
+to_normal_form refuses, with ValueError, work it cannot finish in about
+the time of that last case. MAX_UNIT_CROSSINGS caps the crossings before
+they are expanded: 2000 is 5x the 390 above, and 1002 crossings on 4
+strands (s2^-500 s1 s3^-1 s2^500) take 1.3-2.2 s. MAX_WORK caps n x (unit
+crossings + left-weighting steps), a step being one pair visit or one
+generator moved: the 390-crossing case costs 36.0 M, and the budget of
+40 M stops a negative crossing on 1024 strands, whose Delta complement
+moves one generator at a time, after about 12 s.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ from __future__ import annotations
 from .words import BraidWord, Permutation, _Record
 
 Perm = tuple[int, ...]
+
+MAX_UNIT_CROSSINGS = 2000  # checked before expansion
+MAX_WORK = 40_000_000  # n x (unit crossings + left-weighting steps)
 
 
 def _identity(n: int) -> Perm:
@@ -85,19 +97,25 @@ def _finishing_set(p: Perm) -> set[int]:
     return _starting_set(_inv(p))
 
 
-def _left_weight_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
-    """Slide head generators of y into x until the pair is left-weighted."""
+def _left_weight_pair(x: Perm, y: Perm, budget: int) -> tuple[Perm, Perm, int]:
+    """Slide head generators of y into x until the pair is left-weighted;
+    the visit and each move spend one step of the budget, which is returned."""
     while True:
+        budget -= 1
+        if budget < 0:
+            raise ValueError(f"Garside normal form exceeds its work budget: n x (unit "
+                             f"crossings + left-weighting steps) is over {MAX_WORK} at n={len(x)}")
         movable = _starting_set(y) - _finishing_set(x)
         if not movable:
-            return x, y
+            return x, y, budget
         i = min(movable)
         x = _swap_values(x, i)
         y = _swap_positions(y, i)
 
 
-def _normalize_factors(factors: list[Perm], n: int) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight an arbitrary factor sequence; return (Delta shift, factors)."""
+def _normalize_factors(factors: list[Perm], n: int, budget: int) -> tuple[int, tuple[Perm, ...]]:
+    """Left-weight an arbitrary factor sequence within budget steps; return
+    (Delta shift, factors)."""
     ident = _identity(n)
     w0 = _w0(n)
     factors = [f for f in factors if f != ident]
@@ -105,7 +123,7 @@ def _normalize_factors(factors: list[Perm], n: int) -> tuple[int, tuple[Perm, ..
     while changed:
         changed = False
         for i in range(len(factors) - 1):
-            x, y = _left_weight_pair(factors[i], factors[i + 1])
+            x, y, budget = _left_weight_pair(factors[i], factors[i + 1], budget)
             if (x, y) != (factors[i], factors[i + 1]):
                 factors[i], factors[i + 1] = x, y
                 changed = True
@@ -137,6 +155,10 @@ def to_normal_form(a: BraidWord) -> GarsideNormalForm:
     """
     if a.has_tau():
         raise ValueError("word contains tau letters; only B_n words have a Garside form")
+    units = sum([abs(letter.exponent) for letter in a.letters])
+    if units > MAX_UNIT_CROSSINGS:
+        raise ValueError(f"Garside normal form takes at most {MAX_UNIT_CROSSINGS} "
+                         f"unit crossings, got {units}")
     n = a.n
     w0 = _w0(n)
     factors: list[Perm] = []
@@ -158,7 +180,7 @@ def to_normal_form(a: BraidWord) -> GarsideNormalForm:
         if carried % 2 != 0:
             factors[k] = _flip(factors[k])
         carried += shifts[k]
-    shift, normal = _normalize_factors(factors, n)
+    shift, normal = _normalize_factors(factors, n, MAX_WORK // n - units)
     return GarsideNormalForm(
         n,
         carried + shift,

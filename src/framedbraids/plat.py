@@ -7,8 +7,8 @@ The plat closure caps adjacent endpoint pairs (2i-1, 2i) at the top and the
 bottom of a 2n-ribbon braid. Each component is found by walking the cap
 incidences from its smallest unvisited top endpoint, entering the braid
 downward, which assigns every strand an up or down direction. The walk
-reads the permutation off the closure module's crossing scan, whose strand
-pair totals then count with those directions: a crossing keeps its letter
+reads the permutation off words.crossing_sums, the one strand scan, whose
+strand pair totals then count with those directions: a crossing keeps its letter
 sign when the two strands are traversed the same way and flips it
 otherwise; self-crossings accumulate into a component's self-writhe, and
 cross-component sums halve into linking numbers, exposed as absolute values
@@ -26,10 +26,10 @@ from __future__ import annotations
 from . import moves
 # with_adjusted_framing is unused here: bench/tracing.py wraps it by name.
 from .closure import (
-    LinkComponent, _build_signature, _Signature, component_sums, crossing_sums,
-    with_adjusted_framing,
+    LinkComponent, _build_signature, _Signature, component_sums, with_adjusted_framing,
 )
 from .framed import FramedBraid
+from .words import crossing_sums
 
 
 class PlatComponent(LinkComponent):

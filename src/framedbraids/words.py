@@ -23,6 +23,11 @@ and letters whose exponent cancels to 0 are dropped. That is the only
 normalization done at this layer; deciding genuine braid equality is the
 job of the garside module.
 
+crossing_sums is the one strand scan, read by permutation_of,
+framed.multiply and the closure and plat signatures. A syllable s_i^e meets
+the same two strands e times, so it adds e to that pair's signed total and
+swaps them only when e is odd; tau letters are skipped.
+
 Letter, BraidWord, Permutation and the package's other value types are
 records: slotted classes on the private _Record base below. A record's
 constructor validates its arguments (ValueError) and stores them once. It
@@ -236,21 +241,27 @@ class Permutation(_Record):
         return tuple(out)
 
 
-def permutation_of(a: BraidWord) -> Permutation:
-    """Projection to S_n: sigma_i maps to (i, i+1), tau letters to nothing.
+def crossing_sums(beta: BraidWord) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """The one strand scan: the strand at each bottom position (index 0
+    unused), and the signed crossing total of each strand pair (u, v), u the
+    strand entering the syllable at its left position. Tau letters are skipped."""
+    pos2strand = list(range(beta.n + 1))
+    pairs: dict[tuple[int, int], int] = {}
+    for letter in beta.letters:
+        if letter.kind == SIGMA:
+            i, e = letter.index, letter.exponent
+            u, v = pos2strand[i], pos2strand[i + 1]
+            pairs[u, v] = pairs.get((u, v), 0) + e
+            if e % 2:
+                pos2strand[i], pos2strand[i + 1] = v, u
+    return pos2strand, pairs
 
-    Only exponent parity matters per syllable: an even run of crossings
-    returns both strands to their positions.
-    """
-    pos2strand = list(range(a.n + 1))  # pos2strand[p] is the strand at position p
-    for letter in a.letters:
-        if letter.kind == SIGMA and letter.exponent % 2 != 0:
-            i = letter.index
-            pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
-    images = [0] * a.n
-    for pos in range(1, a.n + 1):
-        images[pos2strand[pos] - 1] = pos
-    return Permutation(tuple(images))
+
+def permutation_of(a: BraidWord) -> Permutation:
+    """Projection to S_n: sigma_i maps to (i, i+1), tau letters to nothing;
+    the inverse of the scan's bottom positions."""
+    pos2strand = crossing_sums(a)[0]
+    return Permutation(tuple(sorted(range(1, a.n + 1), key=pos2strand.__getitem__)))
 
 
 def exponent_sum(a: BraidWord) -> int:

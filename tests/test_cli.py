@@ -180,9 +180,22 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
         assert json.loads(proc.stdout) == {"error": {"message": message}}
 
 
+UNEQUAL = {"equal": False}  # an answer, given with exit 1
+
+
 @pytest.mark.parametrize("args, error", [
     (("nf", "--n", "1024", "s1"), None),
     (("eq", "--n", "1024", "s1 s1023", "s1023 s1"), None),
+    # Garside refuses more than 2000 unit crossings before expanding them,
+    # and stops left-weighting past its work budget
+    (("eq", "--n", "3", "s2^-1998 s1 s2", "s1 s2 s1^-1998"), None),
+    (("eq", "--n", "3", "s2^-1999 s1 s2", "s1 s2 s1^-1999"),
+     "Garside normal form takes at most 2000 unit crossings, got 2001"),
+    (("eq", "--n", "4", "s2^-2000 s1 s3^-1 s2^2000", "s1"),
+     "Garside normal form takes at most 2000 unit crossings, got 4002"),
+    (("eq", "--n", "4", "s1^100000000 s3", "s3 s1^100000000"),
+     "Garside normal form takes at most 2000 unit crossings, got 100000001"),
+    (("eq", "--n", "256", "s1^-1 s2 s1^-1", "s2^-1 s1 s2^-1"), UNEQUAL),
     (("move", "--n", "1024", "--kind", "M", "s1"), None),
     (("fuzz", "--n-min", "1024", "--n-max", "1024", "--trials", "3", "--len-max", "0",
       "--moves", "RM=1"), None),
@@ -206,6 +219,10 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
     (("fuzz", "--trials", "3", "--len-max", "1000000000"),
      "fuzz works on words of at most 100000 letters, so --len-max is at most 100000, "
      "got 1000000000"),
+    # so does a run's cost with --trials
+    (("fuzz", "--trials", "20000"), None),
+    (("fuzz", "--trials", "1000000000"),
+     "fuzz runs at most 20000 trials, so --trials is at most 20000, got 1000000000"),
     # a negative length would make every trial pass on the empty word
     (("fuzz", "--trials", "3", "--len-min", "-5", "--len-max", "-1", "--moves", "RM=1"),
      "bad length range (-5, -1)"),
@@ -217,35 +234,46 @@ def test_matrix_commands_cap_the_strand_count(command, matrix):
     (("move", "--n", "0", "--kind", "RM", "s1"), "strand count must be >= 1, got 0"),
     (("hilden-verify", "--suite", "hilden_1", "--n", "0"),
      "suite 'hilden_1' has no relations at n=0"),
+    # the relation count grows with n, which --n caps
+    (("hilden-verify", "--suite", "pure_framed", "--n", "10"), None),
+    (("hilden-verify", "--suite", "framed_hilden", "--n", "11"),
+     "hilden-verify checks more relations as n grows, so --n is at most 10, got 11"),
     (("fuzz", "--n-min", "0", "--n-max", "0", "--trials", "1"), "bad strand range (0, 0)"),
-], ids=["nf", "eq", "move", "fuzz", "closure-twins", "plat-twins", "fuzz-default-mix",
-        "nf-huge-exponent", "closure-huge-exponent", "plat-huge-exponent",
-        "move-huge-exponent", "fuzz-huge-weight", "fuzz-kind-twice", "fuzz-longest-words",
-        "fuzz-len-max-over", "fuzz-len-max-huge", "fuzz-negative-lengths",
-        "nf-n-negative", "eq-n-zero", "closure-n-zero", "plat-n-negative", "move-n-zero",
-        "hilden-verify-n-zero", "fuzz-n-zero"])
+], ids=["nf", "eq", "eq-most-crossings", "eq-crossings-over", "eq-exponent-2000",
+        "eq-huge-exponent", "eq-wide-negative-crossings", "move", "fuzz", "closure-twins", "plat-twins",
+        "fuzz-default-mix", "nf-huge-exponent", "closure-huge-exponent",
+        "plat-huge-exponent", "move-huge-exponent", "fuzz-huge-weight", "fuzz-kind-twice",
+        "fuzz-longest-words", "fuzz-len-max-over", "fuzz-len-max-huge", "fuzz-most-trials",
+        "fuzz-trials-huge", "fuzz-negative-lengths", "nf-n-negative", "eq-n-zero",
+        "closure-n-zero", "plat-n-negative", "move-n-zero", "hilden-verify-n-zero",
+        "hilden-verify-fastest-suite", "hilden-verify-n-over", "fuzz-n-zero"])
 def test_every_command_answers_just_under_the_strand_cap(args, error):
     proc = run_cli(*args, timeout=10)
     if error is None:
         assert proc.returncode == 0, proc.stdout
         assert "error" not in json.loads(proc.stdout)
+    elif error is UNEQUAL:
+        assert proc.returncode == 1 and json.loads(proc.stdout) == UNEQUAL
     else:
         assert proc.returncode == 2 and proc.stderr == ""
         assert json.loads(proc.stdout) == {"error": {"message": error}}
 
 
-@pytest.mark.parametrize("command, args, flag, cap", [
-    ("nf", ("s1",), "--n", 1024),
-    ("eq", ("s1", "s1"), "--n", 1024),
-    ("move", ("--kind", "RM", "s1"), "--n", 1024),
-    ("hilden-verify", ("--suite", "hilden_1"), "--n", 512),
-    ("fuzz", ("--trials", "1"), "--n-max", 1024),
+STRANDS = "works on at most 1024 strands"
+
+
+@pytest.mark.parametrize("command, args, flag, cap, why", [
+    ("nf", ("s1",), "--n", 1024, STRANDS),
+    ("eq", ("s1", "s1"), "--n", 1024, STRANDS),
+    ("move", ("--kind", "RM", "s1"), "--n", 1024, STRANDS),
+    ("hilden-verify", ("--suite", "hilden_1"), "--n", 10, "checks more relations as n grows"),
+    ("fuzz", ("--trials", "1"), "--n-max", 1024, STRANDS),
 ], ids=["nf", "eq", "move", "hilden-verify", "fuzz"])
-def test_every_command_caps_the_strand_count(command, args, flag, cap):
+def test_every_command_caps_the_strand_count(command, args, flag, cap, why):
     for n in (cap + 1, 10 ** 11, 10 ** 20):
         proc = run_cli(command, flag, str(n), *args, timeout=10)
         assert proc.returncode == 2 and proc.stderr == ""
-        message = f"{command} works on at most 1024 strands, so {flag} is at most {cap}, got {n}"
+        message = f"{command} {why}, so {flag} is at most {cap}, got {n}"
         assert json.loads(proc.stdout) == {"error": {"message": message}}
 
 

@@ -92,24 +92,21 @@ def test_spell_round_trip():
 
 
 def test_normalize_is_element_preserving():
-    # mixed words and their normal forms multiply consistently
+    # mixed words and their normal forms multiply consistently; both sides
+    # keep the sigma letters in order, so the records agree exactly
     rng = random.Random(21)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        letters = tuple(
-            rng.choice(
-                [
-                    sigma(rng.randint(1, n - 1), rng.choice([-1, 1])),
-                    tau(rng.randint(1, n), rng.choice([-1, 1])),
-                ]
-            )
-            for _ in range(rng.randint(0, 8))
-        )
-        w = BraidWord(n, letters)
-        wp = BraidWord(n, letters[: rng.randint(0, len(letters))])
-        lhs = normalize(concat(w, wp))
-        rhs = multiply(normalize(w), normalize(wp))
-        assert framed_equal(lhs, rhs)
+    exponents = [-3, -2, -1, 1, 2, 3]
+
+    def letter(n):
+        if n == 1 or rng.random() < 0.4:
+            return tau(rng.randint(1, n), rng.choice(exponents))
+        return sigma(rng.randint(1, n - 1), rng.choice(exponents))
+
+    for _ in range(2400):
+        n = rng.randint(1, 6)
+        w = BraidWord(n, tuple([letter(n) for _ in range(rng.randint(0, 10))]))
+        wp = BraidWord(n, tuple([letter(n) for _ in range(rng.randint(0, 10))]))
+        assert normalize(concat(w, wp)) == multiply(normalize(w), normalize(wp)), (w, wp)
 
 
 def _relation_instances(n: int):

@@ -232,3 +232,50 @@ def test_are_equal_normalizes_only_the_unshared_middles(monkeypatch):
     word = concat(concat(p, x), s)
     assert garside.are_equal(word, BraidWord(5, word.letters))
     assert recorded == []
+
+
+def test_unit_crossing_cap_is_checked_before_expansion():
+    assert garside.MAX_UNIT_CROSSINGS == 2000
+    assert to_normal_form(BraidWord(2, (sigma(1, 2000),))).inf == 2000
+    for exponent in (2001, -(10 ** 12)):
+        with pytest.raises(ValueError) as err:
+            to_normal_form(BraidWord(2, (sigma(1, exponent),)))
+        message = f"Garside normal form takes at most 2000 unit crossings, got {abs(exponent)}"
+        assert str(err.value) == message
+    # the cap counts every syllable of the word, not only the largest
+    word = parse("s2^-1000 s1 s2^1000", 3)
+    with pytest.raises(ValueError, match="got 2001"):
+        to_normal_form(word)
+    assert are_equal(parse("s2^-1998 s1 s2", 3), parse("s1 s2 s1^-1998", 3))
+
+
+def test_work_budget_counts_crossings_pair_visits_and_moves(monkeypatch):
+    # n x (5 unit crossings + 99 left-weighting steps) = 8 x 104
+    word = parse("s1^-1 s2 s1^-1 s5 s6^-1", 8)
+    expected = to_normal_form(word)
+    monkeypatch.setattr(garside, "MAX_WORK", 8 * 104)
+    assert to_normal_form(word) == expected
+    monkeypatch.setattr(garside, "MAX_WORK", 8 * 104 - 1)
+    with pytest.raises(ValueError) as err:
+        to_normal_form(word)
+    assert str(err.value) == ("Garside normal form exceeds its work budget: n x (unit crossings "
+                              "+ left-weighting steps) is over 831 at n=8")
+
+
+@pytest.mark.parametrize("n, crossings", [(16, 58), (4, 192)])
+def test_largest_word_problem_inputs_answer_under_both_limits(n, crossings):
+    # the equality benchmark's largest words at n=16 and n=4
+    rng = random.Random(n * 1000 + crossings)
+    letters: list = []
+    while len(letters) < crossings:
+        letter = sigma(rng.randint(1, n - 1), rng.choice((1, -1)))
+        if not letters or letters[-1] != letter.inverse():
+            letters.append(letter)
+    word = BraidWord(n, tuple(letters))
+    assert sum(abs(letter.exponent) for letter in word.letters) == crossings
+    nf = to_normal_form(word)
+    # the exponent sum is a class invariant: Delta has n(n-1)/2 crossings
+    # and each factor as many as its permutation has inversions
+    lengths = [sum(a > b for k, a in enumerate(f.images) for b in f.images[k + 1:])
+               for f in nf.factors]
+    assert exponent_sum(word) == nf.inf * n * (n - 1) // 2 + sum(lengths)
