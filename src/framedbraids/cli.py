@@ -23,7 +23,8 @@ from . import hilden
 from .closure import BLACKBOARD, INTEGER, closure_signature
 from .framed import FramedBraid, normalize, framed_equal
 from .fuzz import DEFAULT_MIX, FuzzConfig, run_fuzz
-from .moves import FACTOR_NAMES, FIELD_VALUES, MoveDescriptor, apply_move, solve_framing_transfer
+from .moves import (FIELD_VALUES, MoveDescriptor, apply_move, descriptor_from_json,
+                    solve_framing_transfer)
 from .parser import WordParseError, format_word, parse, signed_decimal
 from .plat import plat_signature
 from .words import Permutation
@@ -101,10 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           argument_default=argparse.SUPPRESS)
     move.add_argument("--n", type=_integer, required=True)
     move.add_argument("--kind", required=True)
-    move.add_argument("--split", type=_integer)
-    move.add_argument("--index", type=_integer)
-    move.add_argument("--sign", type=_integer, choices=FIELD_VALUES["sign"])
-    move.add_argument("--k", type=_integer, choices=FIELD_VALUES["k"])
+    for name in MoveDescriptor._fields[1:-1]:  # split, index, sign, k
+        move.add_argument(f"--{name}", type=_integer, choices=FIELD_VALUES.get(name))
     move.add_argument("--conjugator", help="word for Conjugation moves")
     move.add_argument("word")
 
@@ -163,13 +162,8 @@ def _run(args) -> int:
         return 0
     if args.command == "move":
         braid = normalize(parse(args.word, args.n))
-        factors = ()
-        if "conjugator" in args:
-            factors = (normalize(parse(args.conjugator, args.n)),)
-            if args.kind not in FACTOR_NAMES:
-                raise ValueError(f"{args.kind} moves do not use --conjugator")
-        given = {k: v for k, v in vars(args).items() if k in MoveDescriptor._fields}
-        result = apply_move(braid, MoveDescriptor(factors=factors, **given))
+        data = {k: v for k, v in vars(args).items() if k not in ("pretty", "command", "n", "word")}
+        result = apply_move(braid, descriptor_from_json(data, args.n))
         _emit(dict(_framed_json(result), kind=args.kind), pretty)
         return 0
     if args.command == "hilden-verify":
@@ -220,11 +214,11 @@ def _run(args) -> int:
         if args.trials > MAX_FUZZ_TRIALS:
             raise ValueError(f"fuzz runs at most {MAX_FUZZ_TRIALS} trials, "
                              f"so --trials is at most {MAX_FUZZ_TRIALS}, got {args.trials}")
-        if args.moves:
+        if args.moves is not None:
             mix = []
             for chunk in args.moves.split(","):
-                kind, _, weight = chunk.partition("=")
-                mix.append((kind.strip(), signed_decimal(weight) if weight else 1))
+                kind, equals, weight = chunk.partition("=")
+                mix.append((kind.strip(), signed_decimal(weight) if equals else 1))
             move_mix = tuple(mix)
         else:
             move_mix = DEFAULT_MIX

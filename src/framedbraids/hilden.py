@@ -106,8 +106,10 @@ def canonical_name(name: str) -> str:
             break
     if "{" in name:
         head, _, rest = name.partition("_")
-        pair = rest.strip("{}").replace(" ", "")
-        a, b = (signed_decimal(x) for x in pair.split(","))
+        indices = rest.strip("{}").replace(" ", "").split(",")
+        if len(indices) != 2:
+            raise ValueError(f"generator name {name!r} needs two indices, got {len(indices)}")
+        a, b = (signed_decimal(x) for x in indices)
         return _pair(head, a, b)
     return name
 

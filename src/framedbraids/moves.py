@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from . import plat
 from .framed import FramedBraid, inverse, multiply, normalize, spell
+from .parser import format_word, parse
 from .words import BraidWord, Letter, Permutation, _Record, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
@@ -75,8 +76,9 @@ class MoveDescriptor(_Record):
     split and index are the cut point in the word and the insertion position
     of the new strand; sign is the new crossing sign; k is the integer-framing
     pair; FIELDS_READ, FACTOR_NAMES and FIELD_VALUES hold this table. The
-    constructor raises ValueError for a field the kind never reads that is
-    not at its default, and for a factor count other than the kind's.
+    constructor raises ValueError for a split, index, sign or k that is not
+    an int, for a field the kind never reads that is not at its default, and
+    for a factor count other than the kind's.
     """
 
     __slots__ = ("kind", "split", "index", "sign", "k", "factors")
@@ -85,6 +87,9 @@ class MoveDescriptor(_Record):
                  factors: tuple[FramedBraid, ...] = ()):
         if kind not in MOVE_KINDS:
             raise ValueError(f"unknown move kind {kind!r}")
+        for name, value in zip(self.__slots__[1:-1], (split, index, sign, k)):
+            if type(value) is not int:  # bool is an int subclass, so test the exact type
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if sign not in FIELD_VALUES["sign"]:
             raise ValueError(f"sign must be +-1, got {sign}")
         if k not in FIELD_VALUES["k"]:
@@ -106,6 +111,26 @@ class MoveDescriptor(_Record):
             raise ValueError(f"{kind} moves need {count} factor{plural}, got {len(factors)}")
         for name, value in zip(self.__slots__, (kind, *values)):
             object.__setattr__(self, name, value)
+
+
+def descriptor_json(d: MoveDescriptor) -> dict:
+    """The outside form of d, enough to replay it: its kind, each field the
+    kind reads, and each factor under its name as one DSL word."""
+    out = {name: getattr(d, name) for name in ("kind", *FIELDS_READ[d.kind]) if name != "factors"}
+    out.update(zip(FACTOR_NAMES.get(d.kind, ()), [format_word(spell(h)) for h in d.factors]))
+    return out
+
+
+def descriptor_from_json(data: dict, n: int) -> MoveDescriptor:
+    """The inverse of descriptor_json, for factors on n ribbons. It refuses
+    a name that is no field or factor of the kind; MoveDescriptor the rest."""
+    names = FACTOR_NAMES.get(data["kind"], ())
+    for name in data:
+        if name not in MoveDescriptor._fields[:-1] + names:
+            raise ValueError(f"{data['kind']} moves do not use {name}")
+    fields = {name: value for name, value in data.items() if name not in names}
+    factors = tuple([normalize(parse(data[name], n)) for name in names if name in data])
+    return MoveDescriptor(factors=factors, **fields)
 
 
 def _drag(letters: tuple[Letter, ...], lo: int, hi: int, d: int) -> tuple[Letter, ...]:

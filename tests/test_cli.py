@@ -156,9 +156,10 @@ def test_plat_stabilization_moves(args, stdout):
     (["--n", "3", "--kind", "ClassicalStabilization", "--sign", "-1", "s1"],
      "ClassicalStabilization needs an even ribbon count, got 3"),
     (["--n", "4", "--kind", "DoubleCoset", "s2"], "DoubleCoset moves need 2 factors, got 0"),
+    # a factor name refused as a field is: the kind does not use it
     (["--n", "4", "--kind", "DoubleCoset", "--conjugator", "s2", "s2"],
-     "DoubleCoset moves need 2 factors, got 1"),
-    (["--n", "2", "--kind", "RM", "--conjugator", "s1", "s1"], "RM moves do not use --conjugator"),
+     "DoubleCoset moves do not use conjugator"),
+    (["--n", "2", "--kind", "RM", "--conjugator", "s1", "s1"], "RM moves do not use conjugator"),
 ])
 def test_plat_move_refusals_exit_two(args, message):
     proc = run_cli("move", *args)
@@ -349,6 +350,24 @@ def test_fuzz_plat_moves_without_room_exit_two():
     assert allowed.returncode == 0
 
 
+@pytest.mark.parametrize("moves, message", [
+    ("", "unknown move kind ''"),
+    ("RM=", "expected a signed decimal integer, got ''"),
+    ("RM=1,", "unknown move kind ''"),
+], ids=["empty-mix", "empty-weight", "empty-chunk"])
+def test_fuzz_empty_moves_exit_two(moves, message):
+    # an empty --moves is not the default mix, and an empty weight is not 1
+    proc = run_cli("fuzz", "--trials", "3", "--moves", moves)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {"message": message}}
+
+
+def test_fuzz_kind_without_weight_weighs_one():
+    proc = run_cli("fuzz", "--trials", "3", "--moves", "RM")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["config"]["move_mix"] == {"RM": 1}
+
+
 def test_hilden_verify_with_user_dictionary(tmp_path):
     words = {"p_{1,2}": "", "x_{1,2}": "", "y_{1,2}": ""}
     path = tmp_path / "gens.json"
@@ -357,6 +376,16 @@ def test_hilden_verify_with_user_dictionary(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert all(not r["skipped"] for r in payload)
+
+
+@pytest.mark.parametrize("name, count", [("x_{1}", 1), ("x_{1,2,3}", 3)])
+def test_hilden_verify_pair_names_need_two_indices(tmp_path, name, count):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({name: "s1"}))
+    proc = run_cli("hilden-verify", "--suite", "pure_framed", "--n", "2", "--dict", str(path))
+    assert proc.returncode == 2 and proc.stderr == ""
+    message = f"generator name {name!r} needs two indices, got {count}"
+    assert json.loads(proc.stdout) == {"error": {"message": message}}
 
 
 @pytest.mark.parametrize("raw", [[1], {"x": 5}], ids=["list", "non-string-word"])

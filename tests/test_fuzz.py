@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from framedbraids import fuzz, moves
-from framedbraids.framed import FramedBraid
+from framedbraids import cli, fuzz, moves
+from framedbraids.framed import FramedBraid, spell
 from framedbraids.fuzz import (
     CLOSURE_KINDS,
     CONTROL_KINDS,
@@ -12,8 +12,9 @@ from framedbraids.fuzz import (
     FuzzConfig,
     run_fuzz,
 )
-from framedbraids.moves import FACTOR_NAMES, FIELDS_READ, MOVE_KINDS, MoveDescriptor, apply_move
-from framedbraids.parser import parse
+from framedbraids.moves import (FACTOR_NAMES, FIELDS_READ, MOVE_KINDS, apply_move,
+                                descriptor_from_json, descriptor_json)
+from framedbraids.parser import format_word, parse
 
 
 def test_config_validation():
@@ -117,8 +118,9 @@ def test_weighted_draws_match_the_expanded_list():
     assert {k: b["trials"] for k, b in report["per_kind"].items()} == expected
 
 
-@pytest.mark.parametrize("kind", MOVE_KINDS)
-def test_a_failure_replays_from_its_report(kind, monkeypatch):
+def _forced_failure(kind, monkeypatch) -> tuple[dict, FramedBraid]:
+    """The first failure of a run in which every trial fails, and the braid
+    that its trial's move produced."""
     moved = []
 
     def recording(braid, d):
@@ -128,15 +130,62 @@ def test_a_failure_replays_from_its_report(kind, monkeypatch):
     monkeypatch.setattr(fuzz, "apply_move", recording)
     monkeypatch.setattr(fuzz, "signatures_match", lambda before, after: False)
     report = run_fuzz(FuzzConfig(seed=5, trials=3, n_range=(4, 8), move_mix=((kind, 1),)))
-    failure = report["first_failure"]
-    assert report["failed"] == 3 and failure["trial"] == 0
+    assert report["failed"] == 3 and report["first_failure"]["trial"] == 0
+    return report["first_failure"], moved[0]
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_a_failure_replays_from_its_report(kind, monkeypatch):
+    failure, moved = _forced_failure(kind, monkeypatch)
     n = failure["n"]
-    shown = dict(failure["descriptor"])
-    assert shown.pop("kind") == kind
-    # Each field the kind reads, then each factor under its own name.
-    factor_names = FACTOR_NAMES.get(kind, ())
+    shown = failure["descriptor"]
+    # The kind, each field it reads, then each factor under its own name.
     fields = [name for name in FIELDS_READ[kind] if name != "factors"]
-    assert list(shown) == fields + list(factor_names)
-    factors = tuple(_framed(shown.pop(name), n) for name in factor_names)
-    d = MoveDescriptor(kind, factors=factors, **shown)
-    assert apply_move(_framed(failure, n), d) == moved[0]
+    assert list(shown) == ["kind"] + fields + list(FACTOR_NAMES.get(kind, ()))
+    assert shown["kind"] == kind
+    assert all(type(shown[name]) is str for name in FACTOR_NAMES.get(kind, ()))  # DSL words
+    assert apply_move(_framed(failure, n), descriptor_from_json(shown, n)) == moved
+
+
+# fbk move has no flags for the two factors of a DoubleCoset yet
+@pytest.mark.parametrize("kind", [k for k in MOVE_KINDS if k != "DoubleCoset"])
+def test_a_failure_replays_through_fbk_move(kind, monkeypatch, capsys):
+    failure, moved = _forced_failure(kind, monkeypatch)
+    n = failure["n"]
+    flags = [arg for name, value in failure["descriptor"].items()
+             for arg in (f"--{name}", str(value))]
+    word = format_word(spell(_framed(failure, n)))
+    assert cli.main(["move", "--n", str(n), *flags, word]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"n": moved.n, "framings": list(moved.framings),
+                       "beta": format_word(moved.beta), "kind": kind}
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_descriptors_round_trip_through_json(kind, monkeypatch):
+    # Descriptors drawn as fuzz draws them, over every strand count the
+    # kind takes in 1..8: plat kinds get an even count of at least 4.
+    drawn = []
+
+    def recording(braid, d):
+        drawn.append((braid.n, d))
+        return apply_move(braid, d)
+
+    monkeypatch.setattr(fuzz, "apply_move", recording)
+    run_fuzz(FuzzConfig(seed=21, trials=40, n_range=(1, 8), move_mix=((kind, 1),)))
+    assert len(drawn) == 40
+    for n, d in drawn:
+        assert descriptor_from_json(json.loads(json.dumps(descriptor_json(d))), n) == d
+
+
+def test_the_decoder_refuses_names_the_kind_does_not_use():
+    for data, name in (({"kind": "RM", "conjugator": "s1"}, "conjugator"),
+                       ({"kind": "Conjugation", "h1": ""}, "h1"),
+                       ({"kind": "L_over", "factors": []}, "factors"),
+                       ({"kind": "M", "splt": 1}, "splt")):
+        with pytest.raises(ValueError) as err:
+            descriptor_from_json(data, 2)
+        assert str(err.value) == f"{data['kind']} moves do not use {name}"
+    # a field the kind does not read is refused by the descriptor, in the same words
+    with pytest.raises(ValueError, match="^RM moves do not use index$"):
+        descriptor_from_json({"kind": "RM", "index": 2}, 2)

@@ -81,8 +81,12 @@ def test_canonical_name():
     assert canonical_name("x_{3,1}") == "x_{1,3}"
     assert canonical_name(" P_2 ") == "P_2"
     for bad in ("x_{١,2}", "x_{1_0,2}"):  # pair indices take ASCII digits only
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a signed decimal integer"):
             canonical_name(bad)
+    for bad, count in (("x_{1}", 1), ("x_{1,2,3}", 3), ("p_{}", 1)):
+        with pytest.raises(ValueError) as err:
+            canonical_name(bad)
+        assert str(err.value) == f"generator name {bad!r} needs two indices, got {count}"
 
 
 @pytest.mark.parametrize("n", [2, 3])

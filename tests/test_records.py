@@ -163,6 +163,11 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, fields, text):
     (lambda: MoveDescriptor("IntRL_over", k=2), "k must lie in {-1, 0, 1}, got 2"),
     (lambda: MoveDescriptor("L_over", split=-1), "split must be >= 0, got -1"),
     (lambda: MoveDescriptor("L_over", index=0), "index must be >= 1, got 0"),
+    # bool is an int subclass; a float would reach apply_move and fail there
+    (lambda: MoveDescriptor("RM", sign=True), "sign must be an int, got True"),
+    (lambda: MoveDescriptor("L_over", split=1.0), "split must be an int, got 1.0"),
+    (lambda: MoveDescriptor("L_over", index=2.0), "index must be an int, got 2.0"),
+    (lambda: MoveDescriptor("IntRL_over", k="1"), "k must be an int, got '1'"),
     (lambda: FuzzConfig(0, 0), "trials must be >= 1"),
     (lambda: FuzzConfig(0, 1, n_range=(3, 2)), "bad strand range (3, 2)"),
     (lambda: FuzzConfig(0, 1, n_range=(0, 2)), "bad strand range (0, 2)"),
