@@ -123,14 +123,28 @@ def descriptor_json(d: MoveDescriptor) -> dict:
 
 def descriptor_from_json(data: dict, n: int) -> MoveDescriptor:
     """The inverse of descriptor_json, for factors on n ribbons. It refuses
-    a name that is no field or factor of the kind; MoveDescriptor the rest."""
-    names = FACTOR_NAMES.get(data["kind"], ())
+    data that is not an object, a kind that is missing, not a string or
+    unknown, a factor that is not a string and a name that is no field or
+    factor of the kind; MoveDescriptor the rest."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a move descriptor is an object, got {type(data).__name__}")
+    if "kind" not in data:
+        raise ValueError("a move descriptor needs a kind")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in MOVE_KINDS:
+        raise ValueError(f"unknown move kind {kind!r}")
+    names = FACTOR_NAMES.get(kind, ())
     for name in data:
         if name not in MoveDescriptor._fields[:-1] + names:
-            raise ValueError(f"{data['kind']} moves do not use {name}")
+            raise ValueError(f"{kind} moves do not use {name}")
+    factors = []
+    for name in names:
+        if name in data:
+            if not isinstance(data[name], str):
+                raise ValueError(f"{name} must be a word, got {data[name]!r}")
+            factors.append(normalize(parse(data[name], n)))
     fields = {name: value for name, value in data.items() if name not in names}
-    factors = tuple([normalize(parse(data[name], n)) for name in names if name in data])
-    return MoveDescriptor(factors=factors, **fields)
+    return MoveDescriptor(factors=tuple(factors), **fields)
 
 
 def _drag(letters: tuple[Letter, ...], lo: int, hi: int, d: int) -> tuple[Letter, ...]:

@@ -16,6 +16,12 @@ because a plat closure carries no preferred orientation. Per-component
 framing is the twist total plus the self-writhe, which is invariant under
 reversing any component's traversal.
 
+is_plat_trivial reads the same walk and component pair totals and stops
+there: n/2 components, every framing 0 and every linking number 0 is
+exactly what the signature would show, so it builds no component record,
+matrix or canonical order, and a walk with fewer components answers False
+before any pair total is added up.
+
 The cap tangle itself is never materialized; only the pairing rule exists.
 Like the closure signatures, PlatSignature is a necessary invariant family
 and is only ever used in the sound direction.
@@ -26,7 +32,8 @@ from __future__ import annotations
 from . import moves
 # with_adjusted_framing is unused here: bench/tracing.py wraps it by name.
 from .closure import (
-    LinkComponent, _build_signature, _Signature, component_sums, with_adjusted_framing,
+    LinkComponent, _build_signature, _Signature, component_sums, dense_matrix,
+    with_adjusted_framing,
 )
 from .framed import FramedBraid
 from .words import crossing_sums
@@ -50,8 +57,10 @@ class PlatSignature(_Signature):
         return self.canonical_key[2]
 
 
-def plat_signature(b: FramedBraid) -> PlatSignature:
-    """Components, framings and |linking| of the plat closure of b."""
+def _walk(b: FramedBraid):
+    """The plat walk of b, shared by plat_signature and is_plat_trivial:
+    the strand pair totals, each strand's component and direction, and each
+    component's traversal and twist total, in walk order."""
     if b.n % 2 != 0:
         raise ValueError(f"plat closure needs an even ribbon count, got {b.n}")
     pos2strand, pairs = crossing_sums(b.beta)
@@ -79,8 +88,15 @@ def plat_signature(b: FramedBraid) -> PlatSignature:
                 break
         traversals.append(tuple(walk))
         twists.append(total)
-    self_writhe, linking = component_sums(pairs, comp_of, direction, len(traversals))
-    abs_linking = [[abs(v) for v in row] for row in linking]
+    return pairs, comp_of, direction, traversals, twists
+
+
+def plat_signature(b: FramedBraid) -> PlatSignature:
+    """Components, framings and |linking| of the plat closure of b."""
+    pairs, comp_of, direction, traversals, twists = _walk(b)
+    k = len(traversals)
+    self_writhe, linking = component_sums(pairs, comp_of, k, direction)
+    abs_linking = dense_matrix({pair: abs(v) for pair, v in linking.items()}, k)
     components = [
         PlatComponent(tuple(sorted([strand for strand, _ in walk])), t + w, walk)
         for walk, t, w in zip(traversals, twists, self_writhe)
@@ -92,15 +108,20 @@ def is_plat_trivial(b: FramedBraid) -> bool:
     """Necessary condition for the ribbon cap stabilizer: the plat closure
     is an unlink pattern of n zero-framed, pairwise unlinked components.
 
-    The condition is not sufficient, so a True here never certifies
-    membership; a False refutes it. Odd ribbon counts raise ValueError.
+    It reads the plat walk and the component pair totals that plat_signature
+    reads, and answers as the signature would: n/2 components, every framing
+    (twist total plus self-writhe) 0 and every linking number 0, with no
+    component record, matrix or canonical order built. The condition is not
+    sufficient, so a True here never certifies membership; a False refutes
+    it. Odd ribbon counts raise ValueError.
     """
-    sig = plat_signature(b)
-    return (
-        sig.component_count == b.n // 2
-        and all(c.framing == 0 for c in sig.components)
-        and all(v == 0 for row in sig.abs_linking for v in row)
-    )
+    pairs, comp_of, direction, traversals, twists = _walk(b)
+    k = len(traversals)
+    if k != b.n // 2:
+        return False
+    self_writhe, linking = component_sums(pairs, comp_of, k, direction)
+    return not any(linking.values()) and all(
+        t + w == 0 for t, w in zip(twists, self_writhe))
 
 
 def double_coset_move(b: FramedBraid, h1: FramedBraid, h2: FramedBraid) -> FramedBraid:

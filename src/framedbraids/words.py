@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 SIGMA = "sigma"
 TAU = "tau"
@@ -135,28 +135,13 @@ def tau(j: int, exponent: int = 1) -> Letter:
     return _letter(TAU, j, exponent)
 
 
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Freely reduce: merge adjacent equal (kind, index) runs, drop zeros.
-
-    One stack pass suffices: out is reduced after every step, so a
-    cancellation exposes a top that the next letter is merged with in turn.
-    """
-    out: list[Letter] = []
-    for letter in letters:
-        if out and out[-1].index == letter.index and out[-1].kind == letter.kind:
-            total = out.pop().exponent + letter.exponent
-            if total:
-                out.append(_letter(letter.kind, letter.index, total))
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 class BraidWord(_Record):
     """A freely reduced word over the sigma and tau letters of RB_n.
 
     The constructor reduces its input, so two words that agree after free
-    reduction compare equal. Empty words are the identity.
+    reduction compare equal, and checks the indices of the reduced word
+    against n, so a letter that cancels is never checked. Empty words are
+    the identity.
     """
 
     __slots__ = ("n", "letters")
@@ -164,13 +149,35 @@ class BraidWord(_Record):
     def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
-        reduced = _reduce(letters)
-        for letter in reduced:
-            # sigma_i needs i <= n - 1, tau_j needs j <= n
-            if letter.index >= n and (letter.index > n or letter.kind == SIGMA):
-                raise ValueError(f"{letter.kind} index {letter.index} out of range for n={n}")
+        # One stack pass reduces: out is reduced after every step, so a
+        # cancellation exposes a top that the next letter is merged with in
+        # turn. A merge keeps the top's kind and index, so only a pushed
+        # letter can be out of range; if one may be, the reduced word is
+        # checked.
+        out: list[Letter] = []
+        top = None  # out[-1], or None when out is empty
+        suspect = False
+        for letter in letters:
+            if top is not None and top.index == letter.index and top.kind == letter.kind:
+                total = top.exponent + letter.exponent
+                if total:
+                    top = out[-1] = _letter(letter.kind, letter.index, total)
+                else:
+                    out.pop()
+                    top = out[-1] if out else None
+            else:
+                out.append(letter)
+                top = letter
+                if letter.index >= n:
+                    suspect = True
+        if suspect:
+            for letter in out:
+                # sigma_i needs i <= n - 1, tau_j needs j <= n
+                if letter.index >= n and (letter.index > n or letter.kind == SIGMA):
+                    raise ValueError(
+                        f"{letter.kind} index {letter.index} out of range for n={n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", reduced)
+        object.__setattr__(self, "letters", tuple(out))
 
     def unit_letters(self) -> Iterator[Letter]:
         """Expand run-length syllables into unit (exponent +-1) letters."""
@@ -180,7 +187,10 @@ class BraidWord(_Record):
                 yield unit
 
     def has_tau(self) -> bool:
-        return TAU in [letter.kind for letter in self.letters]
+        for letter in self.letters:
+            if letter.kind == TAU:
+                return True
+        return False
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -250,8 +260,8 @@ def crossing_sums(beta: BraidWord) -> tuple[list[int], dict[tuple[int, int], int
     for letter in beta.letters:
         if letter.kind == SIGMA:
             i, e = letter.index, letter.exponent
-            u, v = pos2strand[i], pos2strand[i + 1]
-            pairs[u, v] = pairs.get((u, v), 0) + e
+            u, v = pair = pos2strand[i], pos2strand[i + 1]
+            pairs[pair] = pairs.get(pair, 0) + e
             if e % 2:
                 pos2strand[i], pos2strand[i + 1] = v, u
     return pos2strand, pairs

@@ -15,6 +15,8 @@ package's normal-form machinery.
   the way the package did before its single crossing scan: the permutation
   first, then the components, then a crossing scan that already knows every
   strand's component and direction.
+- plat_trivial reads plat-triviality off two_pass_plat's signature, the way
+  the package did before it decided from the plat walk and pair totals.
 - scan_parse parses the word DSL one character at a time, the way the
   package did before its one-regex tokenizer.
 - h4_member decides membership in the Hilden subgroup H_4 of B_4 through
@@ -389,6 +391,14 @@ def two_pass_plat(b):
         for c in order
     )
     return len(traversals), components, ("plat",) + key
+
+
+def plat_trivial(b) -> bool:
+    """n/2 components, every framing 0 and every |linking| 0, read off the
+    plat signature of b on 2n ribbons."""
+    count, components, key = two_pass_plat(b)
+    return (count == b.n // 2 and all(framing == 0 for _, framing, _ in components)
+            and all(v == 0 for row in key[2] for v in row))
 
 
 # --- character-scan parser -------------------------------------------------

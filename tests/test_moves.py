@@ -13,6 +13,7 @@ from framedbraids.moves import (
     MoveDescriptor,
     apply_move,
     conjugate,
+    descriptor_from_json,
     over_inclusion,
     solve_framing_transfer,
     tau_conjugation_as_RL_sequence,
@@ -355,6 +356,23 @@ def test_descriptor_takes_factors_only_as_a_tuple_of_framed_braids(kind, factors
     # a list was stored and then made hash() raise TypeError
     with pytest.raises(ValueError, match="^factors must be a tuple of FramedBraid$"):
         MoveDescriptor(kind, factors=factors)
+
+
+@pytest.mark.parametrize("data, message", [
+    (["RM"], "a move descriptor is an object, got list"),
+    ("RM", "a move descriptor is an object, got str"),
+    ({"sign": 1}, "a move descriptor needs a kind"),
+    ({"kind": ["RM"]}, "unknown move kind ['RM']"),
+    ({"kind": 5}, "unknown move kind 5"),
+    ({"kind": "Twist"}, "unknown move kind 'Twist'"),
+    ({"kind": "Conjugation", "conjugator": 5}, "conjugator must be a word, got 5"),
+    ({"kind": "DoubleCoset", "h1": "", "h2": ["s1"]}, "h2 must be a word, got ['s1']"),
+], ids=["list", "string", "no-kind", "list-kind", "int-kind", "unknown-kind",
+        "int-factor", "list-factor"])
+def test_the_decoder_refuses_data_of_the_wrong_shape(data, message):
+    with pytest.raises(ValueError) as err:
+        descriptor_from_json(data, 2)
+    assert str(err.value) == message
 
 
 def test_solve_framing_transfer_examples():

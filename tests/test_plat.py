@@ -5,9 +5,11 @@ import pytest
 
 from framedbraids._canon import canonical_order
 from framedbraids.closure import closure_signature, signatures_match, with_adjusted_framing
-from framedbraids.framed import FramedBraid, multiply, normalize
+from framedbraids import hilden
+from framedbraids.framed import FramedBraid, multiply, normalize, spell
 from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
 from framedbraids.parser import parse
+from framedbraids.words import BraidWord, sigma, tau
 from framedbraids.plat import (
     classical_stabilization,
     double_coset_move,
@@ -16,7 +18,7 @@ from framedbraids.plat import (
     plat_signature,
 )
 
-from oracles import bridge
+from oracles import bridge, plat_trivial
 from test_cli import run_cli
 
 
@@ -124,6 +126,42 @@ def test_is_plat_trivial():
     assert is_plat_trivial(FramedBraid.identity(6))
     assert not is_plat_trivial(normalize(parse("s2", 4)))
     assert not is_plat_trivial(normalize(parse("t1", 2)))
+
+
+def _random_letter(rng, n):
+    """sigma_i^e or tau_j^e on n ribbons, e in +-1..+-4."""
+    e = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+    if rng.random() < 0.75:
+        return sigma(rng.randint(1, n - 1), e)
+    return tau(rng.randint(1, n), e)
+
+
+def test_is_plat_trivial_matches_the_signature_predicate():
+    # The walk-and-pair-totals decision answers as the signature would, on
+    # random framed words, Hilden products and one-letter perturbations of
+    # them.
+    rng = random.Random("plat-trivial")
+    braids = []
+    for _ in range(1600):
+        n = 2 * rng.randint(1, 5)
+        letters = [_random_letter(rng, n) for _ in range(rng.randint(0, 8))]
+        braids.append(normalize(BraidWord(n, tuple(letters))))
+    for _ in range(800):
+        h = sample_hilden_product(rng, rng.randint(1, 5), 6)
+        letters = list(spell(h).letters)
+        letters.insert(rng.randint(0, len(letters)), _random_letter(rng, h.n))
+        braids += [h, normalize(BraidWord(h.n, tuple(letters)))]
+    # The test is only necessary (not sufficient) for membership, so this
+    # braid passes it.
+    braids.append(normalize(parse("s1 s2^-1 s1 s2^-1 s1 s2^-1", 4)))
+    verdicts = [is_plat_trivial(b) for b in braids]
+    assert verdicts == [plat_trivial(b) for b in braids]
+    assert verdicts[-1]
+    assert 800 <= sum(verdicts) <= len(braids) - 1600
+    for n in (1, 3, 5):
+        with pytest.raises(ValueError, match=f"^plat closure needs an even ribbon count, got {n}$"):
+            is_plat_trivial(FramedBraid.identity(n))
+    assert hilden.plat_trivializes is is_plat_trivial
 
 
 def test_classical_double_coset_preserves_unframed_plat():

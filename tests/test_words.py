@@ -59,6 +59,21 @@ def test_index_bounds_against_n():
     BraidWord(3, (sigma(2), tau(3)))
 
 
+def test_bounds_are_checked_on_the_reduced_word():
+    # a letter that cancels is never checked, even when exposed by a cascade
+    assert BraidWord(3, (sigma(5), sigma(5, -1))) == BraidWord(3)
+    assert BraidWord(3, (sigma(5), sigma(2), tau(3), tau(3, -1), sigma(2, -1),
+                         sigma(5, -1))).letters == ()
+    assert BraidWord(3, (sigma(2), tau(3))).letters == (sigma(2), tau(3))
+    for letters, message in (((sigma(3),), "sigma index 3 out of range for n=3"),
+                             ((tau(4),), "tau index 4 out of range for n=3"),
+                             ((sigma(5), sigma(5)), "sigma index 5 out of range for n=3"),
+                             ((sigma(1), tau(4), sigma(3)), "tau index 4 out of range for n=3")):
+        with pytest.raises(ValueError) as err:
+            BraidWord(3, letters)
+        assert str(err.value) == message
+
+
 def test_free_reduction_on_construction():
     w = BraidWord(2, (sigma(1), sigma(1, -1)))
     assert w.letters == ()
