@@ -422,3 +422,114 @@ def test_hilden_verify_colliding_dictionary_names_exit_two(tmp_path):
     proc = run_cli("hilden-verify", "--suite", "framed_hilden", "--n", "2", "--dict", str(path))
     assert proc.returncode == 2, proc.stdout
     assert "theta_1" in json.loads(proc.stdout)["error"]["message"]
+
+
+# Byte pins of the outputs no golden digest covers: the usage errors, --pretty,
+# transfer, a fuzz report and hilden-verify --dict.
+
+def _pretty(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _required(*names):
+    return '{"error": {"message": "the following arguments are required: %s"}}\n' % ", ".join(names)
+
+
+@pytest.mark.parametrize("args, stdout", [
+    ((), _required("command")),
+    (("nf",), _required("--n", "word")),
+    (("eq",), _required("--n", "word1", "word2")),
+    (("closure",), _required("--n", "word")),
+    (("plat",), _required("--n", "word")),
+    (("move",), _required("--n", "--kind", "word")),
+    (("hilden-verify",), _required("--suite", "--n")),
+    # a usage error is printed before --pretty is read
+    (("--pretty", "nf"), _required("--n", "word")),
+], ids=["fbk", "nf", "eq", "closure", "plat", "move", "hilden-verify", "pretty-nf"])
+def test_usage_errors_print_the_missing_arguments(args, stdout):
+    proc = run_cli(*args, stdin_text="")
+    assert proc.returncode == 2
+    assert proc.stdout == stdout
+    # argparse's usage line goes to stderr
+    assert proc.stderr.startswith(" ".join(["usage: fbk"] + [a for a in args if a != "--pretty"]))
+
+
+FUZZ_SEED_3 = (
+    '{"config": {"move_mix": {"Conjugation": 1, "DoubleCoset": 1, "FramedStabilization": 1, '
+    '"IntRL_over": 1, "IntRL_under": 1, "RL_over": 1, "RL_under": 1, "RM": 1, '
+    '"TauConjugation": 1}, "n_range": [1, 5], "seed": 3, "trials": 30, '
+    '"word_length_range": [0, 12]}, "failed": 0, "first_failure": null, "passed": 30, '
+    '"per_kind": {"Conjugation": {"passed": 2, "trials": 2}, '
+    '"DoubleCoset": {"passed": 4, "trials": 4}, '
+    '"FramedStabilization": {"passed": 4, "trials": 4}, '
+    '"IntRL_over": {"passed": 2, "trials": 2}, "IntRL_under": {"passed": 2, "trials": 2}, '
+    '"RL_over": {"passed": 5, "trials": 5}, "RL_under": {"passed": 1, "trials": 1}, '
+    '"RM": {"passed": 6, "trials": 6}, "TauConjugation": {"passed": 4, "trials": 4}}, '
+    '"trials": 30}\n'
+)
+MISPRINT = "index corrected from a misprint; printed form fails in S_2n"
+H1_N2 = [{"holds": True, "note": MISPRINT if rid == "H1.PT-shift[i=1]" else None,
+          "relation_id": rid, "skipped": False}
+         for rid in ("H1.PTSP[i=1]", "H1.ST-swap[i=1,j=1]", "H1.ST-swap[i=1,j=2]",
+                     "H1.PT-shift[i=1]", "H1.TT-comm[i=1,j=2]")]
+TRANSFER_INPUT = '{"permutation": [2, 1], "delta": [2, 0], "kappa": [1, 1]}'
+
+
+@pytest.mark.parametrize("args, stdin, code, stdout", [
+    (("--pretty", "nf", "--n", "2", "s1^-1 t1 s1^2"), None, 0,
+     _pretty({"beta": "s1", "framings": [0, 1], "n": 2})),
+    (("--pretty", "eq", "--n", "3", "s1", "s2"), None, 1, _pretty({"equal": False})),
+    (("--pretty", "closure", "--n", "2", "t1^-1 s1^-3"), None, 0,
+     _pretty({"components": [{"framing": -4, "strands": [1, 2]}], "linking": [[0]]})),
+    (("--pretty", "plat", "--n", "2", "t1 s1^3"), None, 0,
+     _pretty({"abs_linking": [[0]], "components": [
+         {"framing": -2, "strands": [1, 2], "traversal": [[1, "down"], [2, "up"]]}]})),
+    (("--pretty", "move", "--n", "1", "--kind", "RM", "--sign", "1", ""), None, 0,
+     _pretty({"beta": "s1", "framings": [-1, 0], "kind": "RM", "n": 2})),
+    (("--pretty", "hilden-verify", "--suite", "hilden_1", "--n", "2"), None, 0, _pretty(H1_N2)),
+    (("--pretty", "transfer"), TRANSFER_INPUT, 0, _pretty({"r": [0, -1], "solvable": True})),
+    (("--pretty", "fuzz", "--trials", "2", "--moves", "RM=1"), None, 0, _pretty({
+        "config": {"move_mix": {"RM": 1}, "n_range": [1, 5], "seed": 0, "trials": 2,
+                   "word_length_range": [0, 12]},
+        "failed": 0, "first_failure": None, "passed": 2,
+        "per_kind": {"RM": {"passed": 2, "trials": 2}}, "trials": 2})),
+    (("--pretty", "nf", "--n", "2", "s3"), None, 2,
+     _pretty({"error": {"message": "s3 out of range for n=2 (at offset 0)", "offset": 0}})),
+    (("--pretty", "nf", "--n", "0", "s1"), None, 2,
+     _pretty({"error": {"message": "strand count must be >= 1, got 0"}})),
+    (("transfer",), TRANSFER_INPUT, 0, '{"r": [0, -1], "solvable": true}\n'),
+    (("fuzz", "--trials", "30", "--seed", "3"), None, 0, FUZZ_SEED_3),
+], ids=["pretty-nf", "pretty-eq", "pretty-closure", "pretty-plat", "pretty-move",
+        "pretty-hilden-verify", "pretty-transfer", "pretty-fuzz", "pretty-parse-error",
+        "pretty-usage-error", "transfer-stdin", "fuzz-seed-3"])
+def test_outputs_are_pinned_byte_for_byte(args, stdin, code, stdout):
+    proc = run_cli(*args, stdin_text=stdin)
+    assert proc.returncode == code and proc.stderr == ""
+    assert proc.stdout == stdout
+
+
+def test_transfer_reads_a_file_as_it_reads_stdin(tmp_path):
+    path = tmp_path / "transfer.json"
+    path.write_text(TRANSFER_INPUT)
+    proc = run_cli("transfer", "--input", str(path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == '{"r": [0, -1], "solvable": true}\n'
+
+
+def test_hilden_verify_dictionary_output_is_pinned(tmp_path):
+    # theta_1 = s1^2 drops the compensating twist, so 5 relations fail
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"theta_1": "s1 s1"}))
+    proc = run_cli("hilden-verify", "--suite", "framed_hilden", "--n", "2", "--dict", str(path))
+    assert proc.returncode == 1 and proc.stderr == ""
+    rows = [("FH.PTSP[i=1]", False), ("FH.ST-swap[i=1,j=1]", False),
+            ("FH.ST-swap[i=1,j=2]", False), ("FH.PT-shift[i=1]", False),
+            ("FH.TT-comm[i=1,j=2]", True), ("FH.p-omega[j=1,i=1]", True),
+            ("FH.p-omega[j=1,i=2]", True), ("FH.s-omega[j=1,i=1]", True),
+            ("FH.s-omega[j=1,i=2]", True), ("FH.theta-omega-inv[j=1]", False),
+            ("FH.theta-omega-comm[j=1,i=2]", True), ("FH.theta-omega-comm[j=2,i=1]", True),
+            ("FH.theta-omega-inv[j=2]", True), ("FH.omega-omega[i=1,j=2]", True)]
+    assert proc.stdout == json.dumps([
+        {"holds": holds, "note": MISPRINT if rid == "FH.PT-shift[i=1]" else None,
+         "relation_id": rid, "skipped": False}
+        for rid, holds in rows]) + "\n"
