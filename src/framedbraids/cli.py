@@ -5,12 +5,13 @@ Exit codes: 0 on success, 1 when a verification-style command finds a
 failure (unequal words, a relation that does not hold, a failed fuzz
 trial), 2 on usage or parse errors.
 
-Every command's strand count is capped at MAX_MATRIX_STRANDS, the size at
-which closure and plat still print their n x n linking matrix in under a
-second; a larger strand count is a usage error. fuzz caps --n-max there.
-hilden-verify caps its --n at MAX_HILDEN_N, since its relation count grows
-with n. fuzz also caps --len-max at MAX_FUZZ_LETTERS and --trials at
-MAX_FUZZ_TRIALS, since its cost grows with both.
+Caps are read from CAPS; a value over its cap is a usage error. Every
+command's strand count is capped at MAX_MATRIX_STRANDS, the size at which
+closure and plat still print their n x n linking matrix in under a second;
+fuzz caps --n-max there. hilden-verify caps its --n at MAX_HILDEN_N, since
+its relation count grows with n. fuzz also caps --len-max at
+MAX_FUZZ_LETTERS and --trials at MAX_FUZZ_TRIALS, since its cost grows
+with both.
 """
 
 from __future__ import annotations
@@ -34,12 +35,27 @@ MAX_FUZZ_LETTERS = 100_000  # 3 default-mix trials at this length take about 1 s
 MAX_FUZZ_TRIALS = 20_000  # default-size trials: about 5 s
 MAX_HILDEN_N = 10  # the slowest built-in suite at this --n: about 7 s
 
+_STRANDS = f"works on at most {MAX_MATRIX_STRANDS} strands"
+# command -> [(dest, largest, why)], checked in order; a larger value is
+# refused with "{command} {why}, so {flag} is at most {largest}, got {value}".
+CAPS = {
+    **dict.fromkeys(("nf", "eq", "move"), [("n", MAX_MATRIX_STRANDS, _STRANDS)]),
+    **dict.fromkeys(("closure", "plat"), [("n", MAX_MATRIX_STRANDS, "prints an n x n matrix")]),
+    "hilden-verify": [("n", MAX_HILDEN_N, "checks more relations as n grows")],
+    "fuzz": [  # fuzz draws n up to --n-max
+        ("n_max", MAX_MATRIX_STRANDS, _STRANDS),
+        ("len_max", MAX_FUZZ_LETTERS, f"works on words of at most {MAX_FUZZ_LETTERS} letters"),
+        ("trials", MAX_FUZZ_TRIALS, f"runs at most {MAX_FUZZ_TRIALS} trials"),
+    ],
+}
 
-def _emit(payload, pretty: bool) -> None:
-    if pretty:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+
+def _read_json(path: str | None):
+    """The JSON document in the file at path, or on stdin without one."""
+    if not path:
+        return json.load(sys.stdin)
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _framed_json(b: FramedBraid) -> dict:
@@ -68,7 +84,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        _emit({"error": {"message": message}}, False)
+        sys.stdout.write(json.dumps({"error": {"message": message}}) + "\n")
         raise SystemExit(2)
 
 
@@ -78,29 +94,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = top.add_subparsers(dest="command", required=True)
+    # argparse lists missing required arguments in declaration order, parents first
+    strands = argparse.ArgumentParser(add_help=False)
+    strands.add_argument("--n", type=_integer, required=True)
 
-    nf = sub.add_parser("nf", help="framed normal form of a word")
-    nf.add_argument("--n", type=_integer, required=True)
+    nf = sub.add_parser("nf", parents=[strands], help="framed normal form of a word")
     nf.add_argument("word")
 
-    eq = sub.add_parser("eq", help="decide equality of two words in RB_n")
-    eq.add_argument("--n", type=_integer, required=True)
+    eq = sub.add_parser("eq", parents=[strands], help="decide equality of two words in RB_n")
     eq.add_argument("word1")
     eq.add_argument("word2")
 
-    closure = sub.add_parser("closure", help="standard closure invariants")
-    closure.add_argument("--n", type=_integer, required=True)
+    closure = sub.add_parser("closure", parents=[strands], help="standard closure invariants")
     closure.add_argument("--integer-framing", action="store_true")
     closure.add_argument("word")
 
-    plat = sub.add_parser("plat", help="plat closure invariants")
-    plat.add_argument("--n", type=_integer, required=True)
+    plat = sub.add_parser("plat", parents=[strands], help="plat closure invariants")
     plat.add_argument("word")
 
     # A flag not given stays out of args, so MoveDescriptor's defaults apply.
-    move = sub.add_parser("move", help="apply one move to a word",
+    move = sub.add_parser("move", parents=[strands], help="apply one move to a word",
                           argument_default=argparse.SUPPRESS)
-    move.add_argument("--n", type=_integer, required=True)
     move.add_argument("--kind", required=True)
     for name in MoveDescriptor._fields[1:-1]:  # split, index, sign, k
         move.add_argument(f"--{name}", type=_integer, choices=FIELD_VALUES.get(name))
@@ -129,73 +143,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run(args) -> int:
-    pretty = args.pretty
-    if args.command != "transfer":
-        # fuzz draws n up to --n-max
-        flag, n = ("--n-max", args.n_max) if args.command == "fuzz" else ("--n", args.n)
-        cap = MAX_HILDEN_N if args.command == "hilden-verify" else MAX_MATRIX_STRANDS
-        if n < 1 and args.command in ("nf", "eq", "closure", "plat", "move"):
-            raise ValueError(f"strand count must be >= 1, got {n}")
-        if n > cap:
-            why = ("prints an n x n matrix" if args.command in ("closure", "plat")
-                   else "checks more relations as n grows" if args.command == "hilden-verify"
-                   else f"works on at most {MAX_MATRIX_STRANDS} strands")
-            raise ValueError(f"{args.command} {why}, so {flag} is at most {cap}, got {n}")
+def _run(args) -> tuple[object, int]:
+    """The command's JSON document and exit code; bad input raises."""
+    for dest, largest, why in CAPS.get(args.command, ()):
+        value = getattr(args, dest)
+        if value > largest:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{args.command} {why}, so {flag} is at most {largest}, got {value}")
+    if args.command in ("nf", "eq", "closure", "plat", "move") and args.n < 1:
+        raise ValueError(f"strand count must be >= 1, got {args.n}")
     if args.command == "nf":
-        _emit(_framed_json(normalize(parse(args.word, args.n))), pretty)
-        return 0
+        return _framed_json(normalize(parse(args.word, args.n))), 0
     if args.command == "eq":
         a = normalize(parse(args.word1, args.n))
         b = normalize(parse(args.word2, args.n))
         equal = framed_equal(a, b)
-        _emit({"equal": equal}, pretty)
-        return 0 if equal else 1
+        return {"equal": equal}, 0 if equal else 1
     if args.command == "closure":
         convention = INTEGER if args.integer_framing else BLACKBOARD
         sig = closure_signature(normalize(parse(args.word, args.n)), convention)
-        _emit(_signature_json(sig, "linking"), pretty)
-        return 0
+        return _signature_json(sig, "linking"), 0
     if args.command == "plat":
         sig = plat_signature(normalize(parse(args.word, args.n)))
-        _emit(_signature_json(sig, "abs_linking"), pretty)
-        return 0
+        return _signature_json(sig, "abs_linking"), 0
     if args.command == "move":
         braid = normalize(parse(args.word, args.n))
         data = {k: v for k, v in vars(args).items() if k not in ("pretty", "command", "n", "word")}
         result = apply_move(braid, descriptor_from_json(data, args.n))
-        _emit(dict(_framed_json(result), kind=args.kind), pretty)
-        return 0
+        return dict(_framed_json(result), kind=args.kind), 0
     if args.command == "hilden-verify":
         dictionary = hilden.GeneratorDictionary.builtin(args.suite, args.n)
         if args.dict_path:
-            with open(args.dict_path, encoding="utf-8") as handle:
-                raw = json.load(handle)
+            raw = _read_json(args.dict_path)
             if not (isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values())):
                 raise ValueError("--dict needs a JSON object mapping names to words")
-            extra = {
-                name: normalize(parse(text, 2 * args.n)) for name, text in raw.items()
-            }
-            dictionary = dictionary.with_entries(extra)
+            dictionary = dictionary.with_entries(
+                {name: normalize(parse(text, 2 * args.n)) for name, text in raw.items()})
+            # a name no relation reads, say a misspelling, would pass vacuously
+            read = {name for inst in hilden.suite_instances(args.suite, args.n)
+                    for name, _ in inst.lhs + inst.rhs}
+            unread = ", ".join(repr(k) for k in raw if hilden.canonical_name(k) not in read)
+            if unread:
+                raise ValueError(f"no {args.suite} relation at n={args.n} reads --dict {unread}")
         reports = hilden.verify_relation_suite(dictionary, args.suite)
-        payload = [
-            {
-                "relation_id": r.relation_id,
-                "holds": r.holds,
-                "skipped": r.skipped,
-                "note": r.note,
-            }
-            for r in reports
-        ]
-        _emit(payload, pretty)
+        fields = ("relation_id", "holds", "skipped", "note")
         failed = any(not r.holds and not r.skipped for r in reports)
-        return 1 if failed else 0
+        return [{name: getattr(r, name) for name in fields} for r in reports], 1 if failed else 0
     if args.command == "transfer":
-        if args.input:
-            with open(args.input, encoding="utf-8") as handle:
-                data = json.load(handle)
-        else:
-            data = json.load(sys.stdin)
+        data = _read_json(args.input)
         keys = ("permutation", "delta", "kappa")
         # bool is an int subclass, so test the exact type
         if not (isinstance(data, dict) and all(
@@ -205,15 +200,8 @@ def _run(args) -> int:
             raise ValueError("transfer needs a JSON object with integer lists " + ", ".join(keys))
         p, delta, kappa = (tuple(data[k]) for k in keys)
         r = solve_framing_transfer(Permutation(p), delta, kappa)
-        _emit({"solvable": r is not None, "r": list(r) if r is not None else None}, pretty)
-        return 0
+        return {"solvable": r is not None, "r": list(r) if r is not None else None}, 0
     if args.command == "fuzz":
-        if args.len_max > MAX_FUZZ_LETTERS:
-            raise ValueError(f"fuzz works on words of at most {MAX_FUZZ_LETTERS} letters, "
-                             f"so --len-max is at most {MAX_FUZZ_LETTERS}, got {args.len_max}")
-        if args.trials > MAX_FUZZ_TRIALS:
-            raise ValueError(f"fuzz runs at most {MAX_FUZZ_TRIALS} trials, "
-                             f"so --trials is at most {MAX_FUZZ_TRIALS}, got {args.trials}")
         if args.moves is not None:
             mix = []
             for chunk in args.moves.split(","):
@@ -230,22 +218,23 @@ def _run(args) -> int:
             move_mix=move_mix,
         )
         report = run_fuzz(config)
-        _emit(report, pretty)
-        return 1 if report["failed"] else 0
+        return report, 1 if report["failed"] else 0
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its JSON document, the one print site of
+    every answer and every error but argparse's."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        document, code = _run(args)
     except WordParseError as err:
-        _emit({"error": {"message": str(err), "offset": err.offset}}, args.pretty)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
-        _emit({"error": {"message": str(err)}}, args.pretty)
-        return 2
+        document, code = {"error": {"message": str(err), "offset": err.offset}}, 2
+    except (ValueError, KeyError, OSError) as err:
+        document, code = {"error": {"message": str(err)}}, 2
+    indent = 2 if args.pretty else None
+    sys.stdout.write(json.dumps(document, indent=indent, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

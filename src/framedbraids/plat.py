@@ -7,14 +7,14 @@ The plat closure caps adjacent endpoint pairs (2i-1, 2i) at the top and the
 bottom of a 2n-ribbon braid. Each component is found by walking the cap
 incidences from its smallest unvisited top endpoint, entering the braid
 downward, which assigns every strand an up or down direction. The walk
-reads the permutation off words.crossing_sums, the one strand scan, whose
-strand pair totals then count with those directions: a crossing keeps its letter
-sign when the two strands are traversed the same way and flips it
-otherwise; self-crossings accumulate into a component's self-writhe, and
-cross-component sums halve into linking numbers, exposed as absolute values
-because a plat closure carries no preferred orientation. Per-component
-framing is the twist total plus the self-writhe, which is invariant under
-reversing any component's traversal.
+reads the permutation off words.crossing_sums, the one strand scan, and
+applies those directions to its strand pair totals itself, before
+closure.component_sums adds them up: a crossing keeps its letter sign when
+its strands run the same way and flips it otherwise. Self-crossings
+accumulate into a component's self-writhe, and cross-component sums halve
+into linking numbers, exposed as absolute values because a plat closure
+carries no preferred orientation. A component's framing is the twist
+total plus the self-writhe, invariant under reversing its traversal.
 
 is_plat_trivial reads the same walk and component pair totals and stops
 there: n/2 components, every framing 0 and every linking number 0 is
@@ -59,8 +59,8 @@ class PlatSignature(_Signature):
 
 def _walk(b: FramedBraid):
     """The plat walk of b, shared by plat_signature and is_plat_trivial:
-    the strand pair totals, each strand's component and direction, and each
-    component's traversal and twist total, in walk order."""
+    the strand pair totals signed by direction, each strand's component,
+    and each component's traversal and twist total, in walk order."""
     if b.n % 2 != 0:
         raise ValueError(f"plat closure needs an even ribbon count, got {b.n}")
     pos2strand, pairs = crossing_sums(b.beta)
@@ -88,14 +88,17 @@ def _walk(b: FramedBraid):
                 break
         traversals.append(tuple(walk))
         twists.append(total)
-    return pairs, comp_of, direction, traversals, twists
+    for pair in pairs:  # a crossing of strands run opposite ways flips sign
+        if direction[pair[0]] != direction[pair[1]]:
+            pairs[pair] = -pairs[pair]
+    return pairs, comp_of, traversals, twists
 
 
 def plat_signature(b: FramedBraid) -> PlatSignature:
     """Components, framings and |linking| of the plat closure of b."""
-    pairs, comp_of, direction, traversals, twists = _walk(b)
+    pairs, comp_of, traversals, twists = _walk(b)
     k = len(traversals)
-    self_writhe, linking = component_sums(pairs, comp_of, k, direction)
+    self_writhe, linking = component_sums(pairs, comp_of, k)
     abs_linking = dense_matrix({pair: abs(v) for pair, v in linking.items()}, k)
     components = [
         PlatComponent(tuple(sorted([strand for strand, _ in walk])), t + w, walk)
@@ -115,11 +118,11 @@ def is_plat_trivial(b: FramedBraid) -> bool:
     sufficient, so a True here never certifies membership; a False refutes
     it. Odd ribbon counts raise ValueError.
     """
-    pairs, comp_of, direction, traversals, twists = _walk(b)
+    pairs, comp_of, traversals, twists = _walk(b)
     k = len(traversals)
     if k != b.n // 2:
         return False
-    self_writhe, linking = component_sums(pairs, comp_of, k, direction)
+    self_writhe, linking = component_sums(pairs, comp_of, k)
     return not any(linking.values()) and all(
         t + w == 0 for t, w in zip(twists, self_writhe))
 

@@ -432,7 +432,8 @@ def _pretty(payload):
 
 
 def _required(*names):
-    return '{"error": {"message": "the following arguments are required: %s"}}\n' % ", ".join(names)
+    return ('{"error": {"message": "the following arguments are required: %s"}}\n'
+            % ", ".join(names))
 
 
 @pytest.mark.parametrize("args, stdout", [
@@ -533,3 +534,23 @@ def test_hilden_verify_dictionary_output_is_pinned(tmp_path):
         {"holds": holds, "note": MISPRINT if rid == "FH.PT-shift[i=1]" else None,
          "relation_id": rid, "skipped": False}
         for rid, holds in rows]) + "\n"
+
+
+@pytest.mark.parametrize("words, code, message", [
+    # a misspelled name used to be ignored, so every relation held on the built-ins
+    ({"thta_1": "s1 s1"}, 2,
+     "no framed_hilden relation at n=2 reads --dict 'thta_1'"),
+    ({"theta_1": "s1 s1", "omega_3": "", "θ_2": "t3 s3"}, 2,
+     "no framed_hilden relation at n=2 reads --dict 'omega_3'"),
+    ({"thta_1": "", "x_{1,2}": ""}, 2,
+     "no framed_hilden relation at n=2 reads --dict 'thta_1', 'x_{1,2}'"),
+    ({"theta_1": "s1 s1"}, 1, None),
+    ({"θ_2": "t3 s3"}, 0, None),
+], ids=["misspelled", "index-out-of-range", "two-unread", "read-fails", "greek-alias"])
+def test_hilden_verify_refuses_dictionary_names_no_relation_reads(tmp_path, words, code, message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(words))
+    proc = run_cli("hilden-verify", "--suite", "framed_hilden", "--n", "2", "--dict", str(path))
+    assert proc.returncode == code and proc.stderr == ""
+    if message is not None:
+        assert json.loads(proc.stdout) == {"error": {"message": message}}
