@@ -1,8 +1,10 @@
-"""Byte-level pins of fuzz reports, CLI output and the Hilden relation data.
+"""Byte-level pins of fuzz reports, CLI output, moved elements and the Hilden
+relation data.
 
 Refactors must keep the same answers: the same normal forms, signatures,
 CLI JSON, fuzz reports and relation suites. Each case below is hashed
-(sha256 of the JSON report, of stdout plus the exit code, or of a suite's
+(sha256 of the JSON report, of stdout plus the exit code, of the reprs of
+the elements the moves and group operations return, or of a suite's
 relation instances plus its built-in generator dictionary) and compared
 with the digest recorded before the last refactor. Run this file directly to print the
 current digests:
@@ -15,12 +17,19 @@ import hashlib
 import io
 import json
 
+import random
+
 import pytest
 
+from framedbraids import fuzz
 from framedbraids.cli import main
+from framedbraids.framed import inverse, normalize
 from framedbraids.fuzz import ALL_KINDS, FuzzConfig, run_fuzz
 from framedbraids.hilden import GeneratorDictionary, suite_instances
+from framedbraids.moves import (FACTOR_NAMES, FIELDS_READ, PLAT_KINDS, MoveDescriptor,
+                                apply_move, conjugate)
 from framedbraids.parser import format_word
+from framedbraids.words import BraidWord, sigma, tau
 
 FUZZ_TRIALS = 100
 ALL_KINDS_MIX = tuple((kind, 1) for kind in ALL_KINDS)
@@ -123,6 +132,44 @@ def relation_digest(suite: str, half: int) -> str:
     return _sha(json.dumps([instances, entries]))
 
 
+MOVED_DRAWS = 40
+MOVED_CONFIG = FuzzConfig(seed=0, trials=1, n_range=(1, 8), move_mix=ALL_KINDS_MIX)
+
+
+def moved_digest() -> str:
+    """The reprs of what the moves and group operations return, not only
+    whether a signature survives: apply_move on fuzz's own draws (every
+    kind, n up to 8), inverse and conjugate of seeded braids, and normalize
+    of seeded words mixing sigma and tau letters."""
+    out = []
+    rng = random.Random("moved")
+    for _ in range(MOVED_DRAWS):
+        for kind in ALL_KINDS:
+            if kind in PLAT_KINDS:
+                n = 2 * rng.randint(2, 4)
+            else:
+                n = rng.randint(1, 8)
+            braid = fuzz.sample_framed_braid(rng, n, rng.randint(0, 12))
+            fields = {name: fuzz._draw(name, rng, braid, MOVED_CONFIG)
+                      for name in FIELDS_READ[kind] if name != "factors"}
+            factors = tuple([fuzz._draw(name, rng, braid, MOVED_CONFIG)
+                             for name in FACTOR_NAMES.get(kind, ())])
+            d = MoveDescriptor(kind, factors=factors, **fields)
+            out.append(repr(apply_move(braid, d)))
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        a = fuzz.sample_framed_braid(rng, n, rng.randint(0, 12))
+        g = fuzz.sample_framed_braid(rng, n, rng.randint(0, 6))
+        out += [repr(inverse(a)), repr(conjugate(a, g))]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        letters = [tau(rng.randint(1, n), rng.choice((-2, -1, 1, 2))) if rng.random() < 0.3
+                   or n == 1 else sigma(rng.randint(1, n - 1), rng.choice((-2, -1, 1, 2)))
+                   for _ in range(rng.randint(0, 16))]
+        out.append(repr(normalize(BraidWord(n, tuple(letters)))))
+    return _sha("\n".join(out))
+
+
 def cli_digest(argv: tuple[str, ...]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -219,6 +266,8 @@ CLI_GOLDEN = {
     'plat-tie-5--1': '90d53800f3197cf69d22c8c9d3e5303eaa224e2bcdca280ef4ee7309e2e3f51e',
 }
 
+MOVED_GOLDEN = '6a13b684c4f4f258045214807f18b7426502c9729dad9f099071c228856a60aa'
+
 
 RELATION_GOLDEN = {
     'hilden_1-1': 'bd4928b9a0ec8247ad6f479826bbe61f335a30b10109743351595c2882ea75d3',
@@ -257,6 +306,10 @@ def test_cli_outputs_unchanged():
     assert not changed
 
 
+def test_moved_elements_unchanged():
+    assert moved_digest() == MOVED_GOLDEN
+
+
 def test_relation_data_unchanged():
     got = {f"{suite}-{half}": relation_digest(suite, half)
            for suite in BUILTIN_DICTIONARIES for half in RELATION_HALVES}
@@ -273,7 +326,8 @@ if __name__ == "__main__":
     print("}\n\nCLI_GOLDEN = {")
     for name, argv in CLI_CASES.items():
         print(f"    {name!r}: {cli_digest(argv)!r},")
-    print("}\n\nRELATION_GOLDEN = {")
+    print(f"}}\n\nMOVED_GOLDEN = {moved_digest()!r}")
+    print("\nRELATION_GOLDEN = {")
     for suite in BUILTIN_DICTIONARIES:
         for half in RELATION_HALVES:
             print(f"    '{suite}-{half}': {relation_digest(suite, half)!r},")
