@@ -32,7 +32,7 @@ from .words import Permutation
 
 MAX_MATRIX_STRANDS = 1024
 MAX_FUZZ_LETTERS = 100_000  # 3 default-mix trials at this length take about 1 s
-MAX_FUZZ_TRIALS = 20_000  # default-size trials: about 5 s
+MAX_FUZZ_TRIALS = 20_000  # default-size trials: about 2.5 s
 MAX_HILDEN_N = 10  # the slowest built-in suite at this --n: about 7 s
 
 _STRANDS = f"works on at most {MAX_MATRIX_STRANDS} strands"
@@ -51,8 +51,9 @@ CAPS = {
 
 
 def _read_json(path: str | None):
-    """The JSON document in the file at path, or on stdin without one."""
-    if not path:
+    """The JSON document in the file at path, or on stdin without one; an
+    empty path names no file, so it fails to open rather than read stdin."""
+    if path is None:
         return json.load(sys.stdin)
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -173,7 +174,7 @@ def _run(args) -> tuple[object, int]:
         return dict(_framed_json(result), kind=args.kind), 0
     if args.command == "hilden-verify":
         dictionary = hilden.GeneratorDictionary.builtin(args.suite, args.n)
-        if args.dict_path:
+        if args.dict_path is not None:  # an empty path fails to open, never passes
             raw = _read_json(args.dict_path)
             if not (isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values())):
                 raise ValueError("--dict needs a JSON object mapping names to words")

@@ -8,12 +8,18 @@ tau letter slide to the far left, relabeling its index by the strand motion
 it passes through. A FramedBraid stores that form as the pair (framings,
 beta). Equality is exact on the vector and, on the braid part, Garside on
 the middles that remain once the shared prefix and suffix are cancelled.
+
+Every word built from letters reaches its normal form through one pass,
+_normal_form, which slides the twists and freely reduces the sigma letters
+at once, so no word is reduced twice. multiply and inverse read off
+words.crossing_sums where beta leaves each strand.
 """
 
 from __future__ import annotations
 
 from . import garside
-from .words import TAU, BraidWord, Letter, _Record, concat, crossing_sums, invert, tau
+from .words import (SIGMA, TAU, BraidWord, Letter, _letter, _Record, _word, concat, crossing_sums,
+                    invert, tau)
 
 
 class FramedBraid(_Record):
@@ -32,13 +38,62 @@ class FramedBraid(_Record):
             )
         if beta.has_tau():
             raise ValueError("braid part of a normal form must be tau-free")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "framings", framings)
-        object.__setattr__(self, "beta", beta)
+        set_n, set_framings, set_beta = self._setters
+        set_n(self, n)
+        set_framings(self, framings)
+        set_beta(self, beta)
 
     @classmethod
     def identity(cls, n: int) -> FramedBraid:
         return cls(n, (0,) * n, BraidWord(n))
+
+
+def _framed(n: int, framings: tuple[int, ...], beta: BraidWord) -> FramedBraid:
+    """FramedBraid(n, framings, beta) for parts known to fit, unchecked."""
+    a = object.__new__(FramedBraid)
+    set_n, set_framings, set_beta = FramedBraid._setters
+    set_n(a, n)
+    set_framings(a, framings)
+    set_beta(a, beta)
+    return a
+
+
+def _normal_form(n: int, letters) -> FramedBraid:
+    """normalize(BraidWord(n, letters)) in one pass over the letters: each
+    twist slides onto its ribbon and the sigma letters are freely reduced
+    on their own stack. A letter out of range for n sends the word through
+    BraidWord, which refuses it with its own message unless free reduction
+    cancels it; the reduced word then takes this pass. Reducing the sigma
+    letters apart from the twists between them gives the same braid as
+    reducing the mixed word first, since a twist only relabels ribbons."""
+    if n >= 1:
+        framings = [0] * n
+        pos2strand = list(range(n + 1))
+        out: list[Letter] = []
+        top = None  # out[-1], or None when out is empty
+        for letter in letters:
+            i = letter.index
+            if i >= n and (i > n or letter.kind == SIGMA):
+                break
+            if letter.kind == TAU:
+                framings[pos2strand[i] - 1] += letter.exponent
+                continue
+            e = letter.exponent
+            if e % 2:
+                pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
+            if top is not None and top.index == i:
+                total = top.exponent + e
+                if total:
+                    top = out[-1] = _letter(SIGMA, i, total)
+                else:
+                    out.pop()
+                    top = out[-1] if out else None
+            else:
+                out.append(letter)
+                top = letter
+        else:
+            return _framed(n, tuple(framings), _word(n, tuple(out)))
+    return _normal_form(n, BraidWord(n, tuple(letters)).letters)
 
 
 def normalize(w: BraidWord) -> FramedBraid:
@@ -51,24 +106,19 @@ def normalize(w: BraidWord) -> FramedBraid:
     letterwise this is exactly the defining relation of RB_n, so the result
     represents the same element.
     """
-    framings = [0] * w.n
-    pos2strand = list(range(w.n + 1))
-    sigmas: list[Letter] = []
-    for letter in w.letters:
-        if letter.kind == TAU:
-            framings[pos2strand[letter.index] - 1] += letter.exponent
-        else:
-            sigmas.append(letter)
-            if letter.exponent % 2 != 0:
-                i = letter.index
-                pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
-    return FramedBraid(w.n, tuple(framings), BraidWord(w.n, tuple(sigmas)))
+    return _normal_form(w.n, w.letters)
+
+
+def _spelled_letters(a: FramedBraid) -> tuple[Letter, ...]:
+    """The letters of spell(a), with no BraidWord built around them."""
+    prefix = tuple([tau(j, e) for j, e in enumerate(a.framings, start=1) if e])
+    return prefix + a.beta.letters
 
 
 def spell(a: FramedBraid) -> BraidWord:
-    """The word t1^f1 ... tn^fn beta spelling the normal form."""
-    prefix = tuple([tau(j, e) for j, e in enumerate(a.framings, start=1) if e])
-    return BraidWord(a.n, prefix + a.beta.letters)
+    """The word t1^f1 ... tn^fn beta spelling the normal form; twists of
+    distinct ribbons and a reduced beta make it reduced as it stands."""
+    return _word(a.n, _spelled_letters(a))
 
 
 def multiply(a: FramedBraid, b: FramedBraid) -> FramedBraid:
@@ -78,12 +128,17 @@ def multiply(a: FramedBraid, b: FramedBraid) -> FramedBraid:
     framings = list(a.framings)
     for strand, f in zip(crossing_sums(a.beta)[0][1:], b.framings):
         framings[strand - 1] += f
-    return FramedBraid(a.n, tuple(framings), concat(a.beta, b.beta))
+    return _framed(a.n, tuple(framings), concat(a.beta, b.beta))
 
 
 def inverse(a: FramedBraid) -> FramedBraid:
-    """Group inverse, computed by normalizing the inverted spelled word."""
-    return normalize(invert(spell(a)))
+    """Group inverse beta^-1 t^-f: the twist t_p^-f_p below beta^-1 sits on
+    the strand that beta leaves at bottom position p, so the framing at top
+    position q is -f at the strand beta leaves at q."""
+    framings = a.framings
+    pos2strand = crossing_sums(a.beta)[0]
+    return _framed(a.n, tuple([-framings[pos2strand[q] - 1] for q in range(1, a.n + 1)]),
+                   invert(a.beta))
 
 
 def framed_equal(a: FramedBraid, b: FramedBraid) -> bool:

@@ -20,15 +20,17 @@ failure replays.
 
 Every trial derives its own RNG from (seed, trial index), so reports are
 byte-identical across runs with the same configuration. A default trial
-takes 0.12-0.17 ms in process (2000-trial runs, seeds 0-5, twice each),
-and `fbk fuzz --trials 500` 0.12-0.20 s for the whole process with its
-bytecode cached (six runs; 2-vCPU Xeon VM, Python 3.11).
+takes 0.10-0.16 ms in process (2000-trial runs, seeds 0-5, twice each, in
+two rounds), and `fbk fuzz --trials 500` 0.13-0.21 s for the whole process
+with its bytecode cached, most of it interpreter start-up (ten runs; 2-vCPU
+Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 
 from . import hilden
@@ -39,13 +41,13 @@ from .closure import (
     signatures_match,
     with_adjusted_framing,
 )
-from .framed import FramedBraid, normalize, spell
+from .framed import FramedBraid, _framed, _normal_form, _spelled_letters, inverse
 from .moves import (FACTOR_NAMES, FIELD_VALUES, FIELDS_READ, INT_RL_KINDS, L_FAMILY_KINDS,
                     MOVE_KINDS, PLAT_KINDS, MoveDescriptor, apply_move, descriptor_json,
                     tau_conjugation_as_RL_sequence)
 from .parser import format_word
 from .plat import plat_signature
-from .words import BraidWord, Letter, _Record, invert, sigma
+from .words import BraidWord, Letter, _Record, sigma
 
 CONTROL_KINDS = ("M", "L_over", "L_under")
 CLOSURE_KINDS = tuple(k for k in MOVE_KINDS if k not in CONTROL_KINDS + PLAT_KINDS)
@@ -78,11 +80,7 @@ class FuzzConfig(_Record):
         lo_half, hi_half = _plat_halves(n_range)
         if lo_half > hi_half and any(k in PLAT_KINDS and w > 0 for k, w in move_mix):
             raise ValueError(f"plat moves need an even strand count >= 4 in {n_range}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "n_range", n_range)
-        object.__setattr__(self, "word_length_range", word_length_range)
-        object.__setattr__(self, "move_mix", move_mix)
+        self._store(seed, trials, n_range, word_length_range, move_mix)
 
 
 def _plat_halves(n_range: tuple[int, int]) -> tuple[int, int]:
@@ -101,20 +99,33 @@ def sample_framed_braid(rng: random.Random, n: int, length: int) -> FramedBraid:
     for _ in range(length if n >= 2 else 0):
         exponent = rng.choice(_EXPONENTS)
         letters.append(sigma(rng.randint(1, n - 1), exponent))
-    return FramedBraid(n, framings, BraidWord(n, tuple(letters)))
+    return _framed(n, framings, BraidWord(n, tuple(letters)))
+
+
+@lru_cache(maxsize=64)
+def _hilden_letters(half: int) -> list[list[tuple[tuple[Letter, ...], tuple[Letter, ...]]]]:
+    """Per framed Hilden name that exists in RB_2half, in table order, the
+    spelled letters of name_i and of its inverse for each index i."""
+    out = []
+    for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]:
+        generators = [hilden.framed_hilden_generator(name, i, half)
+                      for i in range(1, hilden.top_index(name, half) + 1)]
+        if generators:
+            out.append([(_spelled_letters(g), _spelled_letters(inverse(g))) for g in generators])
+    return out
 
 
 def sample_hilden_product(rng: random.Random, half: int, max_factors: int) -> FramedBraid:
-    """A short product of built-in framed Hilden generators and inverses."""
-    names = [name for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]
-             if hilden.top_index(name, half) >= 1]
+    """A short product of built-in framed Hilden generators and inverses.
+    Each factor draws its name, index and side alike from a memo of the
+    spelled generators: a choice draws on the length of its list alone."""
+    names = _hilden_letters(half)
     letters: list[Letter] = []
     for _ in range(rng.randint(0, max_factors)):
-        name = rng.choice(names)
-        index = rng.randint(1, hilden.top_index(name, half))
-        factor = spell(hilden.framed_hilden_generator(name, index, half))
-        letters += (invert(factor) if rng.random() < 0.5 else factor).letters
-    return normalize(BraidWord(2 * half, tuple(letters)))
+        indices = rng.choice(names)
+        word, inverted = indices[rng.randint(1, len(indices)) - 1]
+        letters += inverted if rng.random() < 0.5 else word
+    return _normal_form(2 * half, letters)
 
 
 def _control_passes(detail: dict, before, after, strand: int, sign: int) -> bool:

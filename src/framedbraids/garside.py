@@ -142,9 +142,7 @@ class GarsideNormalForm(_Record):
     __slots__ = ("n", "inf", "factors")
 
     def __init__(self, n: int, inf: int, factors: tuple[Permutation, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "inf", inf)
-        object.__setattr__(self, "factors", factors)
+        self._store(n, inf, factors)
 
 
 def to_normal_form(a: BraidWord) -> GarsideNormalForm:

@@ -33,10 +33,10 @@ import functools
 import unicodedata
 from typing import Callable, Iterator
 
-from .framed import FramedBraid, framed_equal, normalize, spell
+from .framed import FramedBraid, _normal_form, _spelled_letters, framed_equal, inverse
 from .parser import signed_decimal
 from .plat import is_plat_trivial as plat_trivializes
-from .words import BraidWord, Letter, _Record, invert, sigma, tau
+from .words import Letter, _Record, sigma, tau
 
 Atom = tuple[str, int]
 Word = tuple[Atom, ...]
@@ -81,7 +81,7 @@ def builtin_generator(suite: str, name: str, i: int, n: int) -> FramedBraid:
         raise ValueError(f"unknown {suite} generator {name!r}")
     if not 1 <= i <= top_index(name, n):
         raise ValueError(f"{name}_{i} needs 1 <= i <= {top_index(name, n)}")
-    return normalize(BraidWord(2 * n, GENERATORS[name][1](i)))
+    return _normal_form(2 * n, GENERATORS[name][1](i))
 
 
 def hilden_generator(name: str, i: int, n: int) -> FramedBraid:
@@ -171,10 +171,7 @@ class RelationInstance(_Record):
     __slots__ = ("relation_id", "lhs", "rhs", "note")
 
     def __init__(self, relation_id: str, lhs: Word, rhs: Word, note: str | None = None):
-        object.__setattr__(self, "relation_id", relation_id)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "note", note)
+        self._store(relation_id, lhs, rhs, note)
 
 
 class RelationReport(_Record):
@@ -183,13 +180,7 @@ class RelationReport(_Record):
     def __init__(self, relation_id: str, lhs: FramedBraid | None, rhs: FramedBraid | None,
                  holds: bool, skipped: bool = False, missing: tuple[str, ...] = (),
                  note: str | None = None):
-        object.__setattr__(self, "relation_id", relation_id)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "missing", missing)
-        object.__setattr__(self, "note", note)
+        self._store(relation_id, lhs, rhs, holds, skipped, missing, note)
 
 
 def _pair(name: str, i: int, j: int) -> str:
@@ -443,9 +434,9 @@ def suite_instances(suite: str, n: int) -> tuple[RelationInstance, ...]:
 def _evaluate(word: Word, dictionary: GeneratorDictionary) -> FramedBraid:
     letters: list[Letter] = []
     for name, exp in word:
-        spelled = spell(dictionary.entries[name])
-        letters += (invert(spelled) if exp < 0 else spelled).letters * abs(exp)
-    return normalize(BraidWord(2 * dictionary.n, tuple(letters)))
+        entry = dictionary.entries[name]
+        letters += _spelled_letters(inverse(entry) if exp < 0 else entry) * abs(exp)
+    return _normal_form(2 * dictionary.n, letters)
 
 
 def verify_relation_suite(

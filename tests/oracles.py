@@ -23,6 +23,11 @@ package's normal-form machinery.
   an integer image in SL2(Z).
 - bridge turns a framed braid into one whose plat closure is its standard
   closure; it multiplies with the package's framed group operations.
+- word_normalize, spelled_inverse and product_conjugate build the normal
+  form, the inverse and a conjugate the way the package did before its one
+  pass over a letter tuple and its inverse off the strand scan: the mixed
+  word freely reduced, its sigma letters reduced again, and the inverse as
+  spell -> invert -> normalize.
 - run_l_move_letters, run_inclusion_letters, concat_tau_chain,
   product_evaluate and product_hilden_sample build the move words, relation
   sides and Hilden samples the way the package did before it spelled each
@@ -39,7 +44,8 @@ from typing import Sequence
 
 from framedbraids import framed, hilden
 from framedbraids.parser import WordParseError
-from framedbraids.words import SIGMA, BraidWord, Letter, concat, include_natural, sigma, tau
+from framedbraids.words import (SIGMA, TAU, BraidWord, Letter, concat, include_natural, invert,
+                                sigma, tau)
 
 
 # --- signed-word utilities -------------------------------------------------
@@ -499,6 +505,36 @@ def bridge(b):
     wide = framed.FramedBraid(2 * n, b.framings + (0,) * n, include_natural(b.beta, n))
     N = framed.normalize(BraidWord(2 * n, tuple(letters)))
     return framed.multiply(framed.multiply(N, wide), framed.inverse(N))
+
+
+# --- the normal form, inverse and conjugate through whole words ------------
+
+def word_normalize(w: BraidWord):
+    """The framed normal form of w: each tau letter of the reduced mixed
+    word slides onto its ribbon, and the sigma letters left are reduced as a
+    BraidWord of their own."""
+    framings = [0] * w.n
+    pos2strand = list(range(w.n + 1))
+    sigmas = []
+    for letter in w.letters:
+        if letter.kind == TAU:
+            framings[pos2strand[letter.index] - 1] += letter.exponent
+        else:
+            sigmas.append(letter)
+            if letter.exponent % 2:
+                i = letter.index
+                pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
+    return framed.FramedBraid(w.n, tuple(framings), BraidWord(w.n, tuple(sigmas)))
+
+
+def spelled_inverse(a):
+    """a^-1 as the normal form of the inverted spelled word."""
+    return word_normalize(invert(BraidWord(a.n, framed.spell(a).letters)))
+
+
+def product_conjugate(a, g):
+    """g^-1 a g as two multiplies around spelled_inverse(g)."""
+    return framed.multiply(framed.multiply(spelled_inverse(g), a), g)
 
 
 # --- move words, relation sides and samples from runs and products ---------

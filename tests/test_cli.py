@@ -554,3 +554,16 @@ def test_hilden_verify_refuses_dictionary_names_no_relation_reads(tmp_path, word
     assert proc.returncode == code and proc.stderr == ""
     if message is not None:
         assert json.loads(proc.stdout) == {"error": {"message": message}}
+
+
+@pytest.mark.parametrize("args", [
+    ("hilden-verify", "--suite", "framed_hilden", "--n", "2", "--dict", ""),
+    ("transfer", "--input", ""),
+], ids=["dict", "input"])
+def test_an_empty_path_exits_two_rather_than_pass_or_read_stdin(args):
+    # an empty --dict used to check the built-in words alone and exit 0, and
+    # an empty --input read the stdin below
+    proc = run_cli(*args, stdin_text=TRANSFER_INPUT)
+    assert proc.returncode == 2 and proc.stderr == ""
+    message = str(FileNotFoundError(2, os.strerror(2), ""))
+    assert json.loads(proc.stdout) == {"error": {"message": message}}

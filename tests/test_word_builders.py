@@ -1,20 +1,27 @@
 """Differential tests: every move word, relation side and Hilden sample that
 the package spells as one letter tuple normalized once agrees with the same
-object built from crossing runs and multiply chains (tests/oracles.py)."""
+object built from crossing runs and multiply chains, and the one letter
+pass, the inverse and twist conjugation agree with the normal form, inverse
+and conjugate built through whole words (tests/oracles.py)."""
 
 import random
 
+import pytest
+
 from framedbraids import hilden, moves
-from framedbraids.framed import spell
+from framedbraids.framed import FramedBraid, _normal_form, inverse, spell
 from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
-from framedbraids.words import BraidWord
+from framedbraids.words import BraidWord, sigma, tau
 
 from oracles import (
     concat_tau_chain,
+    product_conjugate,
     product_evaluate,
     product_hilden_sample,
     run_inclusion_letters,
     run_l_move_letters,
+    spelled_inverse,
+    word_normalize,
 )
 
 DRAWS = 2000
@@ -29,7 +36,8 @@ def test_move_words_match_the_run_built_words():
         split = rng.randint(0, len(word.letters))
         i = rng.randint(1, n)
         sign, over, twist = rng.choice((-1, 1)), rng.random() < 0.5, rng.choice((-1, 0, 1))
-        assert moves._l_move_letters(word, split, i, sign, over, twist) == run_l_move_letters(
+        assert moves._l_move_letters(
+            n, word.letters, split, i, sign, over, twist) == run_l_move_letters(
             word, split, i, sign, over, twist)
         j = rng.randint(1, n + 1)
         over_letters = run_inclusion_letters(word, j, over=True)
@@ -76,3 +84,60 @@ def test_hilden_samples_match_the_multiply_chain_and_draw_alike():
         sample = sample_hilden_product(ours, half, max_factors)
         assert sample == product_hilden_sample(theirs, half, max_factors)
         assert ours.getstate() == theirs.getstate()
+
+
+def _normal_form_or_error(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+def test_the_letter_pass_matches_the_mixed_word_normal_form():
+    rng = random.Random(24)
+    cases = [
+        (2, (sigma(1), tau(1), sigma(1, -1))),  # a twist between cancelling sigmas
+        (3, (sigma(2, 3), tau(3, 2), sigma(2, -1), tau(2, -2), sigma(2, -2))),
+        (3, (sigma(5), sigma(5, -1))),  # out of range, but cancels
+        (3, (sigma(5), tau(1), sigma(5, -1))),  # a twist keeps it from cancelling
+        (3, (tau(4), tau(4, -1), sigma(1))),
+        (3, (sigma(1), tau(4), sigma(3))),
+        (1, (tau(1, 2), sigma(1))),
+    ]
+
+    def letter(n):
+        bump = rng.random() < 0.03  # one past the range, so some words are refused
+        e = rng.choice((-2, -1, 1, 2))
+        if n == 1 or rng.random() < 0.3:
+            return tau(rng.randint(1, n + bump), e)
+        return sigma(rng.randint(1, n - 1 + bump), e)
+
+    for _ in range(DRAWS):
+        n = rng.randint(1, 5)
+        cases.append((n, tuple([letter(n) for _ in range(rng.randint(0, 12))])))
+    refused = 0
+    for n, letters in cases:
+        ours = _normal_form_or_error(lambda: _normal_form(n, letters))
+        assert ours == _normal_form_or_error(lambda: word_normalize(BraidWord(n, letters)))
+        refused += isinstance(ours, str)
+    assert 50 <= refused <= DRAWS // 10  # most words are accepted
+    # s1 t1 s1^-1: the twist sits on the ribbon that s1 brought to position 1
+    assert _normal_form(2, cases[0][1]) == FramedBraid(2, (0, 1), BraidWord(2))
+    assert _normal_form_or_error(lambda: _normal_form(3, cases[3][1])) == (
+        "sigma index 5 out of range for n=3")
+    with pytest.raises(ValueError, match="strand count must be >= 1, got 0"):
+        _normal_form(0, ())
+
+
+def test_inverse_and_twist_conjugation_match_the_whole_word_forms():
+    rng = random.Random(24)
+    for _ in range(DRAWS):
+        n = rng.randint(1, 6)
+        a = sample_framed_braid(rng, n, rng.randint(0, 12))
+        g = sample_framed_braid(rng, n, rng.randint(0, 6))
+        assert inverse(a) == spelled_inverse(a)
+        assert moves.conjugate(a, g) == product_conjugate(a, g)
+        i, s = rng.randint(1, n), rng.choice((-1, 1))
+        twist = word_normalize(BraidWord(n, (tau(i, s),)))
+        d = moves.MoveDescriptor("TauConjugation", index=i, sign=s)
+        assert moves.apply_move(a, d) == product_conjugate(a, twist)
