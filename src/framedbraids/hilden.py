@@ -76,7 +76,7 @@ def top_index(name: str, n: int) -> int:
 @functools.lru_cache(maxsize=1024)
 def builtin_generator(suite: str, name: str, i: int, n: int) -> FramedBraid:
     """The built-in generator name_i of the suite's group inside RB_2n; memoized,
-    since a FramedBraid is immutable and fuzz trials draw the same few often."""
+    since a FramedBraid is immutable and dictionaries ask for the same few often."""
     if name not in SUITE_GENERATORS[suite]:
         raise ValueError(f"unknown {suite} generator {name!r}")
     if not 1 <= i <= top_index(name, n):
