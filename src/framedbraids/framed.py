@@ -10,16 +10,16 @@ beta). Equality is exact on the vector and, on the braid part, Garside on
 the middles that remain once the shared prefix and suffix are cancelled.
 
 Every word built from letters reaches its normal form through one pass,
-_normal_form, which slides the twists and freely reduces the sigma letters
-at once, so no word is reduced twice. multiply and inverse read off
+_normal_form, which slides the twists and hands the sigma letters left
+behind to BraidWord, the one free reduction. multiply and inverse read off
 words.crossing_sums where beta leaves each strand.
 """
 
 from __future__ import annotations
 
 from . import garside
-from .words import (SIGMA, TAU, BraidWord, Letter, _letter, _Record, _word, concat, crossing_sums,
-                    invert, tau)
+from .words import (SIGMA, TAU, BraidWord, Letter, _Record, _word, concat, crossing_sums, invert,
+                    tau)
 
 
 class FramedBraid(_Record):
@@ -60,40 +60,25 @@ def _framed(n: int, framings: tuple[int, ...], beta: BraidWord) -> FramedBraid:
 
 def _normal_form(n: int, letters) -> FramedBraid:
     """normalize(BraidWord(n, letters)) in one pass over the letters: each
-    twist slides onto its ribbon and the sigma letters are freely reduced
-    on their own stack. A letter out of range for n sends the word through
-    BraidWord, which refuses it with its own message unless free reduction
-    cancels it; the reduced word then takes this pass. Reducing the sigma
-    letters apart from the twists between them gives the same braid as
-    reducing the mixed word first, since a twist only relabels ribbons."""
-    if n >= 1:
-        framings = [0] * n
-        pos2strand = list(range(n + 1))
-        out: list[Letter] = []
-        top = None  # out[-1], or None when out is empty
-        for letter in letters:
-            i = letter.index
-            if i >= n and (i > n or letter.kind == SIGMA):
-                break
-            if letter.kind == TAU:
-                framings[pos2strand[i] - 1] += letter.exponent
-                continue
-            e = letter.exponent
-            if e % 2:
-                pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
-            if top is not None and top.index == i:
-                total = top.exponent + e
-                if total:
-                    top = out[-1] = _letter(SIGMA, i, total)
-                else:
-                    out.pop()
-                    top = out[-1] if out else None
-            else:
-                out.append(letter)
-                top = letter
+    twist slides onto its ribbon and BraidWord freely reduces the sigma
+    letters. The first letter out of range for n is refused as BraidWord
+    refuses it. Reducing the sigma letters apart from the twists between
+    them gives the same braid as reducing the mixed word first, since a
+    twist only relabels ribbons."""
+    framings = [0] * n
+    pos2strand = list(range(n + 1))
+    sigmas: list[Letter] = []
+    for letter in letters:
+        i = letter.index
+        if i >= n and (i > n or letter.kind == SIGMA):
+            BraidWord(n, (letter,))  # raises BraidWord's error for this letter
+        if letter.kind == TAU:
+            framings[pos2strand[i] - 1] += letter.exponent
         else:
-            return _framed(n, tuple(framings), _word(n, tuple(out)))
-    return _normal_form(n, BraidWord(n, tuple(letters)).letters)
+            if letter.exponent % 2:
+                pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
+            sigmas.append(letter)
+    return _framed(n, tuple(framings), BraidWord(n, tuple(sigmas)))
 
 
 def normalize(w: BraidWord) -> FramedBraid:

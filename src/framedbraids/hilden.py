@@ -29,7 +29,6 @@ dictionary entry yields a skipped report, never a silent pass.
 
 from __future__ import annotations
 
-import functools
 import unicodedata
 from typing import Callable, Iterator
 
@@ -73,10 +72,8 @@ def top_index(name: str, n: int) -> int:
     return n + GENERATORS[name][0]
 
 
-@functools.lru_cache(maxsize=1024)
 def builtin_generator(suite: str, name: str, i: int, n: int) -> FramedBraid:
-    """The built-in generator name_i of the suite's group inside RB_2n; memoized,
-    since a FramedBraid is immutable and dictionaries ask for the same few often."""
+    """The built-in generator name_i of the suite's group inside RB_2n."""
     if name not in SUITE_GENERATORS[suite]:
         raise ValueError(f"unknown {suite} generator {name!r}")
     if not 1 <= i <= top_index(name, n):

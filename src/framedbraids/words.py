@@ -18,10 +18,11 @@ Conventions, fixed here once and relied on everywhere else:
   position i.
 - All indices are 1-based, matching the usual subscripts.
 
-Storage is freely reduced: adjacent letters with equal kind and index merge,
-and letters whose exponent cancels to 0 are dropped. That is the only
-normalization done at this layer; deciding genuine braid equality is the
-job of the garside module.
+Storage is freely reduced by BraidWord's constructor, the package's one free
+reduction: adjacent letters with equal kind and index merge, and letters
+whose exponent cancels to 0 are dropped. That is the only normalization
+done at this layer; deciding genuine braid equality is the job of the
+garside module.
 
 crossing_sums is the one strand scan, read by permutation_of,
 framed.multiply and framed.inverse, twist conjugation and the closure and
@@ -44,9 +45,9 @@ FramedBraid without their constructors' checks, for parts already reduced
 and in range. The one mutable value type, hilden.GeneratorDictionary, is a
 plain class.
 
-Letters are interned: sigma, tau, Letter.inverse, free reduction (here and
-in framed's letter pass) and unit_letters take them from one 256-entry
-memo, and the parser keeps its own.
+Letters are interned: sigma, tau, Letter.inverse, free reduction and
+unit_letters take them from one 256-entry memo, and the parser keeps its
+own.
 Identity is not part of the contract: compare letters with ==, never is.
 """
 
@@ -150,9 +151,9 @@ class BraidWord(_Record):
     """A freely reduced word over the sigma and tau letters of RB_n.
 
     The constructor reduces its input, so two words that agree after free
-    reduction compare equal, and checks the indices of the reduced word
-    against n, so a letter that cancels is never checked. Empty words are
-    the identity.
+    reduction compare equal, and refuses every letter out of range for n as
+    it reads it, by the rule parse applies, even one that would cancel.
+    Empty words are the identity.
     """
 
     __slots__ = ("n", "letters")
@@ -160,33 +161,26 @@ class BraidWord(_Record):
     def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
-        # One stack pass reduces: out is reduced after every step, so a
-        # cancellation exposes a top that the next letter is merged with in
-        # turn. A merge keeps the top's kind and index, so only a pushed
-        # letter can be out of range; if one may be, the reduced word is
-        # checked.
+        # One stack pass checks and reduces: out is reduced after every
+        # step, so a cancellation exposes a top that the next letter is
+        # merged with in turn.
         out: list[Letter] = []
         top = None  # out[-1], or None when out is empty
-        suspect = False
         for letter in letters:
-            if top is not None and top.index == letter.index and top.kind == letter.kind:
+            i = letter.index
+            # sigma_i needs i <= n - 1, tau_j needs j <= n
+            if i >= n and (i > n or letter.kind == SIGMA):
+                raise ValueError(f"{letter.kind} index {i} out of range for n={n}")
+            if top is not None and top.index == i and top.kind == letter.kind:
                 total = top.exponent + letter.exponent
                 if total:
-                    top = out[-1] = _letter(letter.kind, letter.index, total)
+                    top = out[-1] = _letter(letter.kind, i, total)
                 else:
                     out.pop()
                     top = out[-1] if out else None
             else:
                 out.append(letter)
                 top = letter
-                if letter.index >= n:
-                    suspect = True
-        if suspect:
-            for letter in out:
-                # sigma_i needs i <= n - 1, tau_j needs j <= n
-                if letter.index >= n and (letter.index > n or letter.kind == SIGMA):
-                    raise ValueError(
-                        f"{letter.kind} index {letter.index} out of range for n={n}")
         set_n, set_letters = self._setters
         set_n(self, n)
         set_letters(self, tuple(out))

@@ -12,6 +12,9 @@
   package exports that very object, so one that only shares its name with
   an export is still checked.
 
+- Every name a module imports is read in that module, except the package's
+  exports, which __init__ imports for its callers, and the REEXPORTS below.
+
 Methods and properties are matched by name alone, so one is hidden from the
 check when a member read elsewhere shares its name: a Permutation.inverse
 read by nothing would pass because Letter.inverse is read.
@@ -31,6 +34,12 @@ PACKAGE = ROOT / "src" / "framedbraids"
 KEEP = {
     "framed.FramedBraid.identity": "check 08 builds the identity element",
     "hilden.GeneratorDictionary.pure": "check 09 builds the pure dictionary",
+}
+
+# imported names that a module never reads itself, with the caller that binds them there
+REEXPORTS = {
+    "plat.with_adjusted_framing": "bench/tracing.py wraps it as a plat name",
+    "hilden.plat_trivializes": "check 09 imports it from hilden",
 }
 
 
@@ -130,6 +139,39 @@ def exported_functions(names: list[str]) -> set[str]:
         if any(value is export for export in exports):
             found.add(name)
     return found
+
+
+def unread_imports(sources: dict[str, str]) -> list[str]:
+    """module.name for every name a module's import statements bind that the
+    module never reads; `from __future__` imports bind nothing."""
+    unread = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}.{name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in [alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names]
+                   if name not in read]
+    return unread
+
+
+def test_the_guard_flags_an_unread_import():
+    sources = {
+        "a": "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+             "from .b import f, g as h, k\ndef run(x: k):\n    import json\n"
+             "    return f(os.sep)\n",
+    }
+    assert unread_imports(sources) == ["a.regex", "a.h", "a.json"]
+
+
+def test_every_import_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    exports = {f"__init__.{name}" for name in framedbraids.__all__}
+    unread = set(unread_imports(sources)) - exports
+    assert sorted(unread) == sorted(REEXPORTS)
 
 
 def test_the_guard_flags_an_unreferenced_private_name():

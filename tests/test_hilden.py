@@ -59,22 +59,6 @@ def test_pure_generator_words():
     assert exponent_sum(spell(g)) == 4
 
 
-def test_memoized_generators_equal_fresh_ones():
-    for suite in SUITES:
-        for n in range(1, 5):
-            for name in SUITE_GENERATORS[suite]:
-                for i in range(1, top_index(name, n) + 1):
-                    fresh = builtin_generator.__wrapped__(suite, name, i, n)
-                    assert builtin_generator(suite, name, i, n) == fresh
-                    assert builtin_generator(suite, name, i, n) is builtin_generator(suite, name, i, n)
-    # errors are raised afresh on every call, never cached
-    cached = builtin_generator.cache_info().currsize
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            builtin_generator(FRAMED_SUITE, "theta", 3, 2)
-    assert builtin_generator.cache_info().currsize == cached
-
-
 def test_canonical_name():
     assert canonical_name("θ_3") == "theta_3"
     assert canonical_name("ω_1") == "omega_1"

@@ -2,7 +2,8 @@
 the package spells as one letter tuple normalized once agrees with the same
 object built from crossing runs and multiply chains, and the one letter
 pass, the inverse and twist conjugation agree with the normal form, inverse
-and conjugate built through whole words (tests/oracles.py)."""
+and conjugate built through whole words (tests/oracles.py). parse,
+BraidWord and the letter pass refuse the same words, at the same letter."""
 
 import random
 
@@ -11,7 +12,8 @@ import pytest
 from framedbraids import hilden, moves
 from framedbraids.framed import FramedBraid, _normal_form, inverse, spell
 from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
-from framedbraids.words import BraidWord, sigma, tau
+from framedbraids.parser import WordParseError, parse
+from framedbraids.words import SIGMA, BraidWord, sigma, tau
 
 from oracles import (
     concat_tau_chain,
@@ -98,7 +100,7 @@ def test_the_letter_pass_matches_the_mixed_word_normal_form():
     cases = [
         (2, (sigma(1), tau(1), sigma(1, -1))),  # a twist between cancelling sigmas
         (3, (sigma(2, 3), tau(3, 2), sigma(2, -1), tau(2, -2), sigma(2, -2))),
-        (3, (sigma(5), sigma(5, -1))),  # out of range, but cancels
+        (3, (sigma(5), sigma(5, -1))),  # out of range: refused, though it cancels
         (3, (sigma(5), tau(1), sigma(5, -1))),  # a twist keeps it from cancelling
         (3, (tau(4), tau(4, -1), sigma(1))),
         (3, (sigma(1), tau(4), sigma(3))),
@@ -127,6 +129,48 @@ def test_the_letter_pass_matches_the_mixed_word_normal_form():
         "sigma index 5 out of range for n=3")
     with pytest.raises(ValueError, match="strand count must be >= 1, got 0"):
         _normal_form(0, ())
+
+
+def test_parse_braidword_and_the_letter_pass_share_one_bounds_rule():
+    rng = random.Random(25)
+    cases = [(3, (sigma(5), sigma(5, -1))),
+             (3, (sigma(2), tau(4), tau(4, -1), sigma(2, -1)))]
+
+    def letter(n):  # indices 1..n+1, so some letters are out of range
+        e = rng.choice((-2, -1, 1, 2))
+        if n == 1 or rng.random() < 0.3:
+            return tau(rng.randint(1, n + 1), e)
+        return sigma(rng.randint(1, n), e)
+
+    for _ in range(DRAWS):
+        n = rng.randint(1, 5)
+        letters = [letter(n) for _ in range(rng.randint(0, 6))]
+        # a nest of cancelling pairs, such as s2 t4 t4^-1 s2^-1
+        nest = [letter(n) for _ in range(rng.randint(0, 2))]
+        at = rng.randint(0, len(letters))
+        letters[at:at] = nest + [x.inverse() for x in reversed(nest)]
+        cases.append((n, tuple(letters)))
+    refused = 0
+    for n, letters in cases:
+        text = " ".join(f"{'s' if x.kind == SIGMA else 't'}{x.index}^{x.exponent}"
+                        for x in letters)
+        ours = _normal_form_or_error(lambda: _normal_form(n, letters))
+        try:
+            word = BraidWord(n, letters)
+        except ValueError as err:
+            assert ours == str(err)
+            kind, _, index = str(err).split()[:3]
+            with pytest.raises(WordParseError, match=f"^{kind[0]}{index} out of range"):
+                parse(text, n)
+            refused += 1
+        else:
+            assert parse(text, n) == word
+            assert ours == word_normalize(word)
+    assert DRAWS // 10 <= refused <= DRAWS * 9 // 10  # both answers are drawn often
+    assert _normal_form_or_error(lambda: _normal_form(*cases[0])) == (
+        "sigma index 5 out of range for n=3")
+    assert _normal_form_or_error(lambda: _normal_form(*cases[1])) == (
+        "tau index 4 out of range for n=3")
 
 
 def test_inverse_and_twist_conjugation_match_the_whole_word_forms():

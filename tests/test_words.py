@@ -59,15 +59,16 @@ def test_index_bounds_against_n():
     BraidWord(3, (sigma(2), tau(3)))
 
 
-def test_bounds_are_checked_on_the_reduced_word():
-    # a letter that cancels is never checked, even when exposed by a cascade
-    assert BraidWord(3, (sigma(5), sigma(5, -1))) == BraidWord(3)
-    assert BraidWord(3, (sigma(5), sigma(2), tau(3), tau(3, -1), sigma(2, -1),
-                         sigma(5, -1))).letters == ()
+def test_bounds_are_checked_on_every_letter():
+    # the first letter out of range is refused, even one that would cancel
     assert BraidWord(3, (sigma(2), tau(3))).letters == (sigma(2), tau(3))
-    for letters, message in (((sigma(3),), "sigma index 3 out of range for n=3"),
+    for letters, message in (((sigma(5), sigma(5, -1)), "sigma index 5 out of range for n=3"),
+                             ((sigma(5), sigma(2), tau(3), tau(3, -1), sigma(2, -1),
+                               sigma(5, -1)), "sigma index 5 out of range for n=3"),
+                             ((sigma(3),), "sigma index 3 out of range for n=3"),
                              ((tau(4),), "tau index 4 out of range for n=3"),
                              ((sigma(5), sigma(5)), "sigma index 5 out of range for n=3"),
+                             ((tau(4), tau(4, -1), sigma(3)), "tau index 4 out of range for n=3"),
                              ((sigma(1), tau(4), sigma(3)), "tau index 4 out of range for n=3")):
         with pytest.raises(ValueError) as err:
             BraidWord(3, letters)
