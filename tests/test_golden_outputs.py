@@ -27,7 +27,7 @@ from framedbraids.framed import inverse, normalize
 from framedbraids.fuzz import ALL_KINDS, FuzzConfig, run_fuzz
 from framedbraids.hilden import GeneratorDictionary, suite_instances
 from framedbraids.moves import (FACTOR_NAMES, FIELDS_READ, PLAT_KINDS, MoveDescriptor,
-                                apply_move, conjugate)
+                                apply_move, conjugate, descriptor_json)
 from framedbraids.parser import format_word
 from framedbraids.words import BraidWord, sigma, tau
 
@@ -102,13 +102,33 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fuzz_digest(mix_name: str, seed: int) -> str:
+def _fuzz_config(mix_name: str, seed: int) -> FuzzConfig:
     if mix_name == "default":
-        config = FuzzConfig(seed=seed, trials=FUZZ_TRIALS)
-    else:
-        config = FuzzConfig(seed=seed, trials=FUZZ_TRIALS, n_range=(1, 7),
-                            move_mix=ALL_KINDS_MIX)
-    return _sha(json.dumps(run_fuzz(config), sort_keys=True))
+        return FuzzConfig(seed=seed, trials=FUZZ_TRIALS)
+    return FuzzConfig(seed=seed, trials=FUZZ_TRIALS, n_range=(1, 7), move_mix=ALL_KINDS_MIX)
+
+
+def fuzz_digest(mix_name: str, seed: int) -> str:
+    return _sha(json.dumps(run_fuzz(_fuzz_config(mix_name, seed)), sort_keys=True))
+
+
+def trial_digest(mix_name: str, monkeypatch) -> str:
+    """Every trial of seeds 0-9, not only the verdict counts a report keeps:
+    each trial's kind, strand count, framings, word, descriptor and verdict."""
+    out = []
+    trial = fuzz._trial
+
+    def recording(*args):
+        ok, detail = trial(*args)
+        out.append(json.dumps([detail["kind"], detail["n"], detail["framings"],
+                               format_word(detail["beta"]),
+                               descriptor_json(detail["descriptor"]), ok], sort_keys=True))
+        return ok, detail
+
+    monkeypatch.setattr(fuzz, "_trial", recording)
+    for seed in range(10):
+        run_fuzz(_fuzz_config(mix_name, seed))
+    return _sha("\n".join(out))
 
 
 BUILTIN_DICTIONARIES = {
@@ -202,6 +222,11 @@ FUZZ_GOLDEN = {
         8: '32ed7da0b65f24081b942497d31bbf58abd4b770995c95a57cd2d8eca38f209b',
         9: '4b918083d69a4db4b24ac2dd25e8d5a5667216b9de50d23366933b1af9420917',
     },
+}
+
+TRIAL_GOLDEN = {
+    'default': 'fa99e5fd89b360ad22b079ea2ec9e61bcfbb0e51ce2bdbf47c363180a86d8dd8',
+    'all_kinds': '8f1e9ecd95588a03bd4ec4ddabfad88b01c38dabd7d1bd8c138921b4affadc00',
 }
 
 CLI_GOLDEN = {
@@ -300,6 +325,11 @@ def test_fuzz_reports_unchanged(mix_name):
     assert got == FUZZ_GOLDEN[mix_name]
 
 
+@pytest.mark.parametrize("mix_name", ["default", "all_kinds"])
+def test_fuzz_trials_unchanged(mix_name, monkeypatch):
+    assert trial_digest(mix_name, monkeypatch) == TRIAL_GOLDEN[mix_name]
+
+
 def test_cli_outputs_unchanged():
     got = {name: cli_digest(argv) for name, argv in CLI_CASES.items()}
     changed = sorted(name for name in CLI_CASES if got[name] != CLI_GOLDEN.get(name))
@@ -323,6 +353,10 @@ if __name__ == "__main__":
         for seed in range(10):
             print(f"        {seed}: {fuzz_digest(mix, seed)!r},")
         print("    },")
+    print("}\n\nTRIAL_GOLDEN = {")
+    for mix in ("default", "all_kinds"):
+        with pytest.MonkeyPatch.context() as patch:
+            print(f"    {mix!r}: {trial_digest(mix, patch)!r},")
     print("}\n\nCLI_GOLDEN = {")
     for name, argv in CLI_CASES.items():
         print(f"    {name!r}: {cli_digest(argv)!r},")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -499,3 +500,37 @@ def test_tau_conjugation_move_is_the_chain_endpoint():
         assert direct == tau_conjugation_as_RL_sequence(braid, i, exp)[-1]
     with pytest.raises(ValueError, match="out of range"):
         apply_move(FramedBraid.identity(2), MoveDescriptor("TauConjugation", index=3))
+
+
+_ONE = (FramedBraid.identity(2),)
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("bogus", {"sign": 0}, "unknown move kind 'bogus'"),
+    ("RL_over", {"split": True, "sign": 0}, "split must be an int, got True"),
+    ("RL_over", {"index": "1", "split": -1}, "index must be an int, got '1'"),
+    ("TauConjugation", {"sign": 1.0, "index": 0}, "sign must be an int, got 1.0"),
+    ("IntRL_under", {"k": None, "sign": 0}, "k must be an int, got None"),
+    ("RM", {"sign": 0, "index": 2}, "sign must be +-1, got 0"),
+    ("IntRL_over", {"sign": 2, "k": 3}, "sign must be +-1, got 2"),
+    ("FramedStabilization", {"k": -1, "sign": 5}, "sign must be +-1, got 5"),
+    ("IntRL_over", {"k": 2, "split": -1}, "k must lie in {-1, 0, 1}, got 2"),
+    ("RM", {"split": -1, "k": 1}, "split must be >= 0, got -1"),
+    ("L_over", {"split": -1, "index": 0}, "split must be >= 0, got -1"),
+    ("L_over", {"index": 0, "k": 1}, "index must be >= 1, got 0"),
+    ("DoubleCoset", {"factors": list(_ONE * 2), "index": 0}, "index must be >= 1, got 0"),
+    ("RM", {"split": 1, "factors": list(_ONE)}, "factors must be a tuple of FramedBraid"),
+    ("TauConjugation", {"split": 1, "k": 1}, "TauConjugation moves do not use split"),
+    ("M", {"k": 1, "factors": _ONE}, "M moves do not use k"),
+    ("ClassicalStabilization", {"index": 3, "factors": _ONE},
+     "ClassicalStabilization moves do not use index"),
+    ("Conjugation", {"sign": -1, "factors": ()}, "Conjugation moves do not use sign"),
+    ("Conjugation", {"index": 2, "factors": _ONE * 2}, "Conjugation moves do not use index"),
+    ("DoubleCoset", {"factors": _ONE, "split": 2}, "DoubleCoset moves do not use split"),
+])
+def test_descriptor_reports_the_first_of_two_faults(kind, fields, message):
+    # the order of the checks: kind, the four int types, the sign and k
+    # values, split and index bounds, the factor type, the fields the kind
+    # never reads, the factor count
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MoveDescriptor(kind, **fields)
