@@ -18,12 +18,12 @@ kind reads and each factor under its name as one DSL word. That is the form
 moves.descriptor_from_json and the flags of `fbk move` read back, so the
 failure replays.
 
-Every trial derives its own RNG from (seed, trial index), so reports are
-byte-identical across runs with the same configuration. A default trial
-takes 0.10-0.16 ms in process (2000-trial runs, seeds 0-5, twice each, in
-two rounds), and `fbk fuzz --trials 500` 0.13-0.21 s for the whole process
-with its bytecode cached, most of it interpreter start-up (ten runs; 2-vCPU
-Xeon VM, Python 3.11).
+Every trial reseeds one generator from (seed, trial index) and draws as
+its randint would, so reports are byte-identical across runs with the same
+configuration. A default trial takes 0.09-0.15 ms in process (2000-trial
+runs, seeds 0-5, twice each, in five rounds), and `fbk fuzz --trials 500`
+0.14-0.16 s for the whole process with its bytecode cached, most of it
+interpreter start-up (ten runs; 2-vCPU Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -92,13 +92,24 @@ def _plat_halves(n_range: tuple[int, int]) -> tuple[int, int]:
 _EXPONENTS = (-3, -2, -1, 1, 2, 3)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """Random.randint(lo, hi), also behind choice and randrange, by the same
+    getrandbits calls: the same value and next state, without its checks."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def sample_framed_braid(rng: random.Random, n: int, length: int) -> FramedBraid:
     """Twist vector in [-3,3]^n plus a sigma word with exponents in +-[1,3]."""
-    framings = tuple([rng.randint(-3, 3) for _ in range(n)])
+    framings = tuple([_randint(rng, -3, 3) for _ in range(n)])
     letters = []
     for _ in range(length if n >= 2 else 0):
-        exponent = rng.choice(_EXPONENTS)
-        letters.append(sigma(rng.randint(1, n - 1), exponent))
+        exponent = _EXPONENTS[_randint(rng, 0, 5)]
+        letters.append(sigma(_randint(rng, 1, n - 1), exponent))
     return _framed(n, framings, BraidWord(n, tuple(letters)))
 
 
@@ -121,9 +132,9 @@ def sample_hilden_product(rng: random.Random, half: int, max_factors: int) -> Fr
     spelled generators: a choice draws on the length of its list alone."""
     names = _hilden_letters(half)
     letters: list[Letter] = []
-    for _ in range(rng.randint(0, max_factors)):
-        indices = rng.choice(names)
-        word, inverted = indices[rng.randint(1, len(indices)) - 1]
+    for _ in range(_randint(rng, 0, max_factors)):
+        indices = names[_randint(rng, 0, len(names) - 1)]
+        word, inverted = indices[_randint(rng, 0, len(indices) - 1)]
         letters += inverted if rng.random() < 0.5 else word
     return _normal_form(2 * half, letters)
 
@@ -142,13 +153,13 @@ def _draw(name: str, rng: random.Random, braid: FramedBraid, config: FuzzConfig)
     """A random value of one descriptor field or factor of a move on braid."""
     n = braid.n
     if name == "split":
-        return rng.randint(0, len(braid.beta.letters) + n - braid.framings.count(0))
+        return _randint(rng, 0, len(braid.beta.letters) + n - braid.framings.count(0))
     if name == "index":
-        return rng.randint(1, n)
+        return _randint(rng, 1, n)
     if name in FIELD_VALUES:
-        return rng.choice(FIELD_VALUES[name])
+        return FIELD_VALUES[name][_randint(rng, 0, len(FIELD_VALUES[name]) - 1)]
     if name == "conjugator":
-        return sample_framed_braid(rng, n, rng.randint(*config.word_length_range))
+        return sample_framed_braid(rng, n, _randint(rng, *config.word_length_range))
     return sample_hilden_product(rng, n // 2, 6)  # h1 or h2
 
 
@@ -156,10 +167,10 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
     lo, hi = config.n_range
     if kind in PLAT_KINDS:
         lo_half, hi_half = _plat_halves(config.n_range)
-        n = 2 * max(lo_half, rng.randint(max(1, lo // 2), hi_half))
+        n = 2 * max(lo_half, _randint(rng, max(1, lo // 2), hi_half))
     else:
-        n = rng.randint(lo, hi)
-    braid = sample_framed_braid(rng, n, rng.randint(*config.word_length_range))
+        n = _randint(rng, lo, hi)
+    braid = sample_framed_braid(rng, n, _randint(rng, *config.word_length_range))
     # The kind's fields, then its factors, in table order: the order of the
     # draws fixes every report byte.
     fields = {name: _draw(name, rng, braid, config)
@@ -192,16 +203,17 @@ def _trial(kind: str, rng: random.Random, config: FuzzConfig) -> tuple[bool, dic
 
 def run_fuzz(config: FuzzConfig) -> dict:
     """Execute the configured trials; the report is JSON-serializable."""
-    # rng.randrange(total) over the cumulative weights is the draw that
-    # rng.choice makes over a list holding each kind weight times.
+    # A draw below the total over the cumulative weights is the draw that
+    # Random.choice makes over a list holding each kind weight times.
     kinds = [k for k, _ in config.move_mix]
     bounds = list(accumulate(w for _, w in config.move_mix))
     per_kind: dict[str, dict[str, int]] = {}
     first_failure = None
     passed = 0
+    rng = random.Random()
     for index in range(config.trials):
-        rng = random.Random(f"{config.seed}:{index}")
-        kind = kinds[bisect_right(bounds, rng.randrange(bounds[-1]))]
+        rng.seed(f"{config.seed}:{index}")  # as random.Random(...) would seed it
+        kind = kinds[bisect_right(bounds, _randint(rng, 0, bounds[-1] - 1))]
         ok, detail = _trial(kind, rng, config)
         bucket = per_kind.setdefault(kind, {"trials": 0, "passed": 0})
         bucket["trials"] += 1

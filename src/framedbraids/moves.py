@@ -33,6 +33,8 @@ under the sign convention fixed in the words module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import plat
 from .framed import (FramedBraid, _framed, _normal_form, _spelled_letters, inverse, multiply,
                      normalize, spell)
@@ -88,9 +90,11 @@ class MoveDescriptor(_Record):
                  factors: tuple[FramedBraid, ...] = ()):
         if kind not in MOVE_KINDS:
             raise ValueError(f"unknown move kind {kind!r}")
-        for name, value in zip(self.__slots__[1:-1], (split, index, sign, k)):
-            if type(value) is not int:  # bool is an int subclass, so test the exact type
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        # bool is an int subclass, so test the exact type
+        if not type(split) is type(index) is type(sign) is type(k) is int:
+            for name, value in zip(self.__slots__[1:-1], (split, index, sign, k)):
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an int, got {value!r}")
         if sign not in FIELD_VALUES["sign"]:
             raise ValueError(f"sign must be +-1, got {sign}")
         if k not in FIELD_VALUES["k"]:
@@ -99,18 +103,30 @@ class MoveDescriptor(_Record):
             raise ValueError(f"split must be >= 0, got {split}")
         if index < 1:
             raise ValueError(f"index must be >= 1, got {index}")
-        if not (isinstance(factors, tuple) and all(isinstance(f, FramedBraid) for f in factors)):
+        if not (isinstance(factors, tuple)
+                and (not factors or all([isinstance(f, FramedBraid) for f in factors]))):
             raise ValueError("factors must be a tuple of FramedBraid")
         values = (split, index, sign, k, factors)
-        read, defaults = FIELDS_READ[kind], MoveDescriptor.__init__.__defaults__
-        for name, value, default in zip(self.__slots__[1:], values, defaults):
-            if value != default and name not in read:
+        for i, (name, default) in _UNREAD[kind]:
+            if values[i] != default:
                 raise ValueError(f"{kind} moves do not use {name}")
         count = len(FACTOR_NAMES.get(kind, ()))
         if len(factors) != count:
             plural = "s" * (count > 1)
             raise ValueError(f"{kind} moves need {count} factor{plural}, got {len(factors)}")
-        self._store(kind, *values)
+        set_kind, set_split, set_index, set_sign, set_k, set_factors = self._setters
+        set_kind(self, kind)
+        set_split(self, split)
+        set_index(self, index)
+        set_sign(self, sign)
+        set_k(self, k)
+        set_factors(self, factors)
+
+
+# kind -> (position, (name, default)) of each field after kind that it never reads
+_UNREAD = {kind: tuple([(i, field) for i, field in enumerate(zip(
+    MoveDescriptor._fields[1:], MoveDescriptor.__init__.__defaults__))
+    if field[0] not in FIELDS_READ[kind]]) for kind in MOVE_KINDS}
 
 
 def descriptor_json(d: MoveDescriptor) -> dict:
@@ -147,11 +163,17 @@ def descriptor_from_json(data: dict, n: int) -> MoveDescriptor:
     return MoveDescriptor(factors=tuple(factors), **fields)
 
 
+@lru_cache(maxsize=256)
+def _runs(lo: int, hi: int, d: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The runs s(lo..hi)^d and s(hi..lo)^-d around a drag, built once."""
+    run = range(lo, hi + 1)
+    return tuple([sigma(j, d) for j in run]), tuple([sigma(j, -d) for j in reversed(run)])
+
+
 def _drag(letters: tuple[Letter, ...], lo: int, hi: int, d: int) -> tuple[Letter, ...]:
     """drag_d[lo..hi](letters) of the module docstring, not freely reduced."""
-    run = range(lo, hi + 1)
-    return (tuple([sigma(j, d) for j in run]) + letters
-            + tuple([sigma(j, -d) for j in reversed(run)]))
+    left, right = _runs(lo, hi, d)
+    return left + letters + right
 
 
 def over_inclusion(a: BraidWord, i: int) -> BraidWord:

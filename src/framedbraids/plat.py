@@ -32,8 +32,7 @@ from __future__ import annotations
 from . import moves
 # with_adjusted_framing is unused here: bench/tracing.py wraps it by name.
 from .closure import (
-    LinkComponent, _build_signature, _Signature, component_sums, dense_matrix,
-    with_adjusted_framing,
+    LinkComponent, _canonical, _Signature, component_sums, with_adjusted_framing,
 )
 from .framed import FramedBraid
 from .words import crossing_sums
@@ -99,14 +98,15 @@ def _walk(b: FramedBraid):
 def plat_signature(b: FramedBraid) -> PlatSignature:
     """Components, framings and |linking| of the plat closure of b."""
     pairs, comp_of, traversals, twists = _walk(b)
-    k = len(traversals)
-    self_writhe, linking = component_sums(pairs, comp_of, k)
-    abs_linking = dense_matrix({pair: abs(v) for pair, v in linking.items()}, k)
-    components = [
-        PlatComponent(tuple(sorted([strand for strand, _ in walk])), t + w, walk)
-        for walk, t, w in zip(traversals, twists, self_writhe)
-    ]
-    return _build_signature(PlatSignature, "plat", components, abs_linking)
+    self_writhe, linking = component_sums(pairs, comp_of, len(traversals))
+    framings = [t + w for t, w in zip(twists, self_writhe)]
+    order, key = _canonical(framings, {pair: abs(v) for pair, v in linking.items()})
+    components = tuple([
+        PlatComponent(tuple(sorted([strand for strand, _ in traversals[c]])), framings[c],
+                      traversals[c])
+        for c in order
+    ])
+    return PlatSignature(components, ("plat",) + key)
 
 
 def is_plat_trivial(b: FramedBraid) -> bool:

@@ -191,22 +191,73 @@ def _oracle_word(rng: random.Random, n: int) -> FramedBraid:
     return normalize(BraidWord(n, tuple(letters)))
 
 
+def _closure_record(sig) -> tuple:
+    """A closure signature in the form two_pass_closure returns."""
+    return (sig.component_count, tuple((c.strands, c.framing) for c in sig.components),
+            sig.canonical_key)
+
+
+def _plat_record(sig) -> tuple:
+    """A plat signature in the form two_pass_plat returns."""
+    return (sig.component_count,
+            tuple((c.strands, c.framing, c.traversal) for c in sig.components),
+            sig.canonical_key)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_single_scan_matches_two_pass_oracle(n):
     rng = random.Random(f"scan-oracle-{n}")
     for _ in range(340):
         b = _oracle_word(rng, n)
         for convention in ("blackboard", INTEGER):
-            sig = closure_signature(b, convention)
-            assert (
-                sig.component_count,
-                tuple((c.strands, c.framing) for c in sig.components),
-                sig.canonical_key,
-            ) == two_pass_closure(b, convention)
+            assert _closure_record(closure_signature(b, convention)) == two_pass_closure(
+                b, convention)
         if n % 2 == 0:
-            sig = plat_signature(b)
-            assert (
-                sig.component_count,
-                tuple((c.strands, c.framing, c.traversal) for c in sig.components),
-                sig.canonical_key,
-            ) == two_pass_plat(b)
+            assert _plat_record(plat_signature(b)) == two_pass_plat(b)
+
+
+@pytest.mark.parametrize("n, word", [
+    (3, "s1^2 s2^2 s1^-2 s2^-2"),
+    (3, "t1 t2^-1 s1^2 s2^2 s1^-2 s2^-2"),
+    (4, "s2^2 s1^2 s2^-2 s1^-2 t4^2"),
+    (4, "s2 s1^2 s2^-1 s3^2 s2 s1^-2 s2^-1 s3^-2"),
+    (6, "s2^2 s4^2 s2^-2 s4^-2 t1 t3^-1"),
+])
+def test_pairs_that_cross_but_sum_to_zero_are_unlinked(n, word):
+    # Components cross each other, so their pairs are entries of the sparse
+    # sums, but every entry is 0: the signature is the unlinked one.
+    b = normalize(parse(word, n))
+    for convention in ("blackboard", INTEGER):
+        sig = closure_signature(b, convention)
+        assert sig.component_count > 1 and not any(map(any, sig.linking))
+        assert _closure_record(sig) == two_pass_closure(b, convention)
+    if n % 2 == 0:
+        sig = plat_signature(b)
+        assert sig.component_count > 1 and not any(map(any, sig.abs_linking))
+        assert _plat_record(sig) == two_pass_plat(b)
+
+
+def test_adjusting_an_unlinked_signature_matches_the_twisted_braid():
+    rng = random.Random("unlinked-adjust")
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 6)
+        b = random_framed(rng, n, rng.randint(0, 4))
+        signatures = [closure_signature(b)]
+        if n % 2 == 0:
+            signatures.append(plat_signature(b))
+        for sig in signatures:
+            matrix = sig.canonical_key[2]
+            if any(map(any, matrix)):
+                continue
+            checked += 1
+            strand, delta = rng.randint(1, n), rng.choice((-2, -1, 1, 3))
+            framings = list(b.framings)
+            framings[strand - 1] += delta
+            twisted = FramedBraid(n, tuple(framings), b.beta)
+            fresh = (closure_signature if sig.canonical_key[0] != "plat" else plat_signature)(
+                twisted)
+            shifted = with_adjusted_framing(sig, strand, delta)
+            assert type(shifted) is type(fresh)
+            assert shifted.canonical_key == fresh.canonical_key
+            assert sorted(shifted.components, key=repr) == sorted(fresh.components, key=repr)

@@ -118,6 +118,25 @@ def test_weighted_draws_match_the_expanded_list():
     assert {k: b["trials"] for k, b in report["per_kind"].items()} == expected
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (0, 0), (5, 5), (-3, 3), (0, 5), (1, 1), (1, 4), (0, 12), (2, 4), (0, 40), (0, 2),
+    (0, 3), (1, 1023), (-(2**70), 2**70), (0, 2**64), (7, 2**100 + 7),
+])
+def test_the_draw_helper_is_randint_randrange_and_choice(lo, hi):
+    # n = 1, the ranges fuzz draws from and large n; each draw must also
+    # leave both generators in the same state, which the next random() shows
+    seed = f"draw-{lo}-{hi}"
+    mine, theirs = random.Random(seed), random.Random(seed)
+    span = range(lo, hi + 1) if hi - lo < 64 else None
+    for _ in range(300):
+        assert fuzz._randint(mine, lo, hi) == theirs.randint(lo, hi)
+        assert fuzz._randint(mine, 0, hi - lo) == theirs.randrange(hi - lo + 1)
+        if span is not None:
+            assert span[fuzz._randint(mine, 0, len(span) - 1)] == theirs.choice(span)
+    assert mine.random() == theirs.random()
+    assert mine.getstate() == theirs.getstate()
+
+
 def _forced_failure(kind, monkeypatch) -> tuple[dict, FramedBraid]:
     """The first failure of a run in which every trial fails, and the braid
     that its trial's move produced."""
