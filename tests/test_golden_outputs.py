@@ -1,13 +1,13 @@
-"""Byte-level pins of fuzz reports, CLI output, moved elements and the Hilden
-relation data.
+"""Byte-level pins of fuzz reports and trials, CLI output, moved elements and
+the Hilden relation data.
 
 Refactors must keep the same answers: the same normal forms, signatures,
 CLI JSON, fuzz reports and relation suites. Each case below is hashed
-(sha256 of the JSON report, of stdout plus the exit code, of the reprs of
-the elements the moves and group operations return, or of a suite's
-relation instances plus its built-in generator dictionary) and compared
-with the digest recorded before the last refactor. Run this file directly to print the
-current digests:
+(sha256 of the JSON report, of every trial's draws and verdict, of stdout
+plus the exit code, of the reprs of the elements the moves and group
+operations return, or of a suite's relation instances plus its built-in
+generator dictionary) and compared with the digest recorded before the
+last refactor. Run this file directly to print the current digests:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
