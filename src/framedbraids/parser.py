@@ -1,5 +1,5 @@
 """
-The braid word DSL: a whitespace-separated list of terms like s2^-3 or t1.
+The braid word DSL: terms like s2^-3 or t1, with or without blanks between.
 
 Grammar (bytes, ASCII only):
 
@@ -16,11 +16,25 @@ checked against the declared strand count, and an explicit exponent of 0 is
 rejected. format_word is the inverse printer: parse(format_word(w)) stores
 w again, and format_word(parse(text)) reproduces canonically spaced text.
 
-parse is one finditer pass of _TOKEN: blanks, then a term, a bad character
-or the end. A term's text goes through _term, a 256-entry memo that returns
-its Letter or its error message and offset group; parse adds the offset and
-checks the bound. A 35-term word takes 40-60 us, against 120-170 us for a
-character loop (2-vCPU VM, Python 3.11).
+parse cuts the text at blanks (space and tab only; str.split() with no
+argument would also cut at newlines and other spaces that the grammar
+refuses). Each piece goes through _term, a 256-entry memo from one term's
+text to its Letter, and BraidWord(n, letters) is the one bound check and
+the one free reduction. A piece that is not exactly one valid term raises
+inside the memo, and lru_cache stores no error. parse then cuts before
+every 's' and 't' as well, as it does at once for text without blanks: a
+term holds one generator letter, its first character, so a valid word
+falls apart into exactly its terms. A fault still left, or a bound that
+BraidWord refuses, sends the text to _scan, one finditer pass of _TOKEN
+that raises the first fault in the text with its offset. The memo keeps no
+piece longer than _TERM_CHARS, so it never holds a whole input.
+
+The speed rests on terms that recur, as in words over a few generators
+with small exponents, and most on blanks between them, as format_word, the
+CLI examples and the benchmark write them: a random 35-term word takes
+9-13 us, or 11-14 us without blanks. A term that misses the memo costs 2-3
+us, and a short faulty word 8-12 us, most of it the failed passes before
+the scan (2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -56,8 +70,11 @@ def signed_decimal(text: str) -> int:
 _TOKEN = re.compile(r"[ \t]*(?:([st])([0-9]*)(?:\^([+-]?[0-9]*))?|(.)|\Z)", re.DOTALL)
 
 
-@lru_cache(maxsize=256)
-def _term(gen: str, digits: str, exponent: str | None) -> Letter | tuple[str, int]:
+# The longest piece the memo keeps; a longer one goes to the scan.
+_TERM_CHARS = 40
+
+
+def _read(gen: str, digits: str, exponent: str | None) -> Letter | tuple[str, int]:
     """The Letter of one term's text, or its error message and the _TOKEN
     group whose start the error points at; the bound on n is not checked.
     int() refuses more digits than sys.get_int_max_str_digits()."""
@@ -82,8 +99,48 @@ def _term(gen: str, digits: str, exponent: str | None) -> Letter | tuple[str, in
     return Letter(SIGMA if gen == "s" else TAU, index, value)
 
 
+@lru_cache(maxsize=256)
+def _term(piece: str) -> Letter:
+    """The Letter of a blank-free piece that is exactly one valid term of at
+    most _TERM_CHARS characters. Any other piece raises ValueError, which
+    lru_cache does not store, so the memo holds only short valid terms."""
+    if len(piece) > _TERM_CHARS:
+        raise ValueError("piece too long to memoize")
+    match = _TOKEN.match(piece)
+    gen, digits, exponent, _ = match.groups()
+    if gen is None or match.end() != len(piece):
+        raise ValueError("piece is not one term")
+    letter = _read(gen, digits, exponent)
+    if letter.__class__ is tuple:
+        raise ValueError(letter[0])
+    return letter
+
+
 def parse(text: str, n: int) -> BraidWord:
     """Parse a DSL word into a freely reduced BraidWord on n strands."""
+    try:
+        blanked = text.replace("\t", " ")
+        letters = None
+        if " " in blanked:
+            try:
+                letters = tuple(map(_term, filter(None, blanked.split(" "))))
+            except ValueError:
+                pass  # a piece holds several terms, or a fault
+        if letters is None:
+            # Every term starts with its one 's' or 't': cut there as well.
+            cut = blanked.replace("s", " s").replace("t", " t")
+            letters = tuple(map(_term, filter(None, cut.split(" "))))
+        return BraidWord(n, letters)
+    except (ValueError, TypeError, AttributeError):
+        # _scan raises the first fault with its offset, or the regex's
+        # TypeError for a text that is not a str
+        return _scan(text, n)
+
+
+def _scan(text: str, n: int) -> BraidWord:
+    """parse by one finditer pass of _TOKEN, raising the first fault in the
+    text with its offset: a bad character, a bad term or an index out of
+    range for n."""
     letters: list[Letter] = []
     for match in _TOKEN.finditer(text):
         gen, digits, exponent, bad = match.groups()
@@ -91,7 +148,7 @@ def parse(text: str, n: int) -> BraidWord:
             if bad is None:
                 break
             raise WordParseError(f"expected 's' or 't', found {bad!r}", match.start(4))
-        letter = _term(gen, digits, exponent)
+        letter = _read(gen, digits, exponent)
         if letter.__class__ is tuple:
             raise WordParseError(letter[0], match.start(letter[1]))
         if letter.index >= n and (letter.index > n or gen == "s"):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -123,11 +124,11 @@ def mutate(rng, text: str) -> str:
 
 
 def outcome(parse_fn, text: str, n: int):
-    """The parsed word, or the error's message and offset."""
+    """The parsed word, or the error's type, message and offset."""
     try:
         return parse_fn(text, n)
-    except WordParseError as err:
-        return str(err), err.offset
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "offset", None)
 
 
 def test_parse_agrees_with_the_character_scanner():
@@ -145,12 +146,72 @@ def test_parse_agrees_with_the_character_scanner():
 
 
 def test_parse_errors_are_raised_on_every_call():
-    for text in ("s1 s2^0", "s0", "s1^", "s9", "s1 x"):
+    for text in ("s1 s2^0", "s0", "s1^", "s9", "s1 x", "s1s2^0", "s1\ns2", "t1^2s9"):
+        expected = outcome(scan_parse, text, 3)
+        assert isinstance(expected, tuple), text
         for _ in range(2):
-            with pytest.raises(WordParseError):
-                parse(text, 3)
+            assert outcome(parse, text, 3) == expected, text
 
 
 def test_both_letter_memos_are_bounded():
     assert 0 < parser._term.cache_info().maxsize <= 256
     assert 0 < words._letter.cache_info().maxsize <= 256
+
+
+# str.split() with no argument cuts at each of these; the grammar refuses them.
+REFUSED_SPACES = "\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000"
+
+
+def edge_texts():
+    for ch in REFUSED_SPACES:
+        yield from (f"s1{ch}s2", f"s1 {ch} t2", f"{ch}s1", f"s1^-2{ch}",
+                    f"s{ch}1", f"s1^{ch}2", f"s1^-{ch}2", f"s1{ch}2")
+    yield from ("s1s2^-1 t3", "t1^2s1", "s1s2^-1t3", " s1s2", "s1^2s1^-2 t2", "s1s2 s3^0")
+    yield from (" \t  s1 \t\t s2^-1\t \t", "\t\t", "  \t", "\ts1\t", "s1 \t ", "", "s1")
+
+
+def test_parse_agrees_with_the_scanner_on_tokenizer_edges():
+    for text in edge_texts():
+        for n in (0, 1, 3, 4):
+            assert outcome(parse, text, n) == outcome(scan_parse, text, n), (text, n)
+
+
+def test_parse_with_no_strands():
+    assert outcome(parse, "s1", 0) == (
+        "WordParseError", "s1 out of range for n=0 (at offset 0)", 0)
+    assert outcome(parse, "", 0) == (
+        "ValueError", "strand count must be >= 1, got 0", None)
+
+
+def test_parse_refuses_a_text_that_is_not_str():
+    for text, message in ((None, "expected string or bytes-like object"),
+                          (b"s1", "cannot use a string pattern on a bytes-like object")):
+        with pytest.raises(TypeError, match=message):
+            parse(text, 3)
+
+
+def test_parse_agrees_with_the_scanner_past_the_memo_size():
+    # 600 distinct terms: the 256-entry memo evicts while one word is parsed
+    terms = [f"s{1 + k % 3}^{k + 1}" for k in range(600)]
+    for text in (" ".join(terms), "".join(terms), " ".join(terms) + " s4", " ".join(terms[::-1])):
+        before = parser._term.cache_info().misses
+        assert outcome(parse, text, 4) == outcome(scan_parse, text, 4), text[-20:]
+        assert parser._term.cache_info().misses - before > 256
+
+
+def test_the_term_memo_keeps_no_text():
+    rng = random.Random(11)
+    pool = [f"s{rng.randint(1, 7)}^{rng.choice((-3, -2, -1, 2, 3))}" for _ in range(40)]
+    body = "".join(rng.choice(pool + ["t1", "s2"]) for _ in range(9999))
+    # 300 distinct 10 000-term words without blanks, then 20 terms with a
+    # 4000-digit exponent; the last 40 words are traced
+    for j in range(300):
+        if j == 280:
+            tracemalloc.start()
+        parse(body + f"t8^{j + 1}", 8)
+    for j in range(20):
+        parse(f"s1^{j + 1}" + "7" * 3999, 2)
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert parser._term.cache_info().currsize <= 256
+    assert retained < len(body)
