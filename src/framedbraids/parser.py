@@ -18,23 +18,24 @@ w again, and format_word(parse(text)) reproduces canonically spaced text.
 
 parse cuts the text at blanks (space and tab only; str.split() with no
 argument would also cut at newlines and other spaces that the grammar
-refuses). Each piece goes through _term, a 256-entry memo from one term's
-text to its Letter, and BraidWord(n, letters) is the one bound check and
-the one free reduction. A piece that is not exactly one valid term raises
-inside the memo, and lru_cache stores no error. parse then cuts before
-every 's' and 't' as well, as it does at once for text without blanks: a
-term holds one generator letter, its first character, so a valid word
-falls apart into exactly its terms. A fault still left, or a bound that
+refuses) and before every 's' and 't'. A term holds one generator letter,
+its first character, so a valid word falls apart into exactly its terms.
+Each piece goes through _term, a 256-entry memo from one term's text to
+its Letter, and BraidWord(n, letters) is the one bound check and the one
+free reduction. A piece that is not exactly one valid term raises inside
+the memo, and lru_cache stores no error; that fault, or a bound that
 BraidWord refuses, sends the text to _scan, one finditer pass of _TOKEN
 that raises the first fault in the text with its offset. The memo keeps no
 piece longer than _TERM_CHARS, so it never holds a whole input.
 
 The speed rests on terms that recur, as in words over a few generators
-with small exponents, and most on blanks between them, as format_word, the
-CLI examples and the benchmark write them: a random 35-term word takes
-9-13 us, or 11-14 us without blanks. A term that misses the memo costs 2-3
-us, and a short faulty word 8-12 us, most of it the failed passes before
-the scan (2-vCPU VM, Python 3.11).
+with small exponents; blanks between terms do not matter. A random 35-term
+word takes about 11 us, or 10 us without blanks, against 24-27 us for one
+finditer pass. A term that misses the memo costs about 2 us, a tenth more
+than in that pass. A faulty word, or a valid one holding a term longer
+than _TERM_CHARS, costs about 3 times one pass (7-8 us for a short one):
+the failed cut, then the scan, which reads each term without a memo
+(in-process timing, 2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -119,18 +120,9 @@ def _term(piece: str) -> Letter:
 def parse(text: str, n: int) -> BraidWord:
     """Parse a DSL word into a freely reduced BraidWord on n strands."""
     try:
-        blanked = text.replace("\t", " ")
-        letters = None
-        if " " in blanked:
-            try:
-                letters = tuple(map(_term, filter(None, blanked.split(" "))))
-            except ValueError:
-                pass  # a piece holds several terms, or a fault
-        if letters is None:
-            # Every term starts with its one 's' or 't': cut there as well.
-            cut = blanked.replace("s", " s").replace("t", " t")
-            letters = tuple(map(_term, filter(None, cut.split(" "))))
-        return BraidWord(n, letters)
+        # Every term starts with its one 's' or 't': cut there and at blanks.
+        cut = text.replace("\t", " ").replace("s", " s").replace("t", " t")
+        return BraidWord(n, tuple(map(_term, filter(None, cut.split(" ")))))
     except (ValueError, TypeError, AttributeError):
         # _scan raises the first fault with its offset, or the regex's
         # TypeError for a text that is not a str

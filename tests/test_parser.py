@@ -199,6 +199,19 @@ def test_parse_agrees_with_the_scanner_past_the_memo_size():
         assert parser._term.cache_info().misses - before > 256
 
 
+def test_valid_words_never_reach_the_scanner(monkeypatch):
+    # _scan is for faults only: a valid word, with or without blanks and
+    # tabs between its terms, is parsed by the one cut and the memo.
+    rng = random.Random(27)
+    cases = [(random_dsl_text(rng, n), n) for n in (2, 3, 5, 8) for _ in range(250)]
+    valid = [(text, n, word) for text, n in cases
+             if isinstance(word := outcome(scan_parse, text, n), BraidWord)]
+    assert len(valid) > 600
+    monkeypatch.setattr(parser, "_scan", lambda text, n: pytest.fail(f"{text!r} was scanned"))
+    for text, n, word in valid:
+        assert parse(text, n) == word, text
+
+
 def test_the_term_memo_keeps_no_text():
     rng = random.Random(11)
     pool = [f"s{rng.randint(1, 7)}^{rng.choice((-3, -2, -1, 2, 3))}" for _ in range(40)]
