@@ -26,14 +26,17 @@ under CPython 3.11 (bench/baseline.json): 142 crossings on 4 strands take
 85 ms, 184 crossings on 8 strands 0.63 s, and 94 and 390 crossings on 16
 strands 1.1 s and 13 s.
 
-to_normal_form refuses, with ValueError, work it cannot finish in about
-the time of that last case. MAX_UNIT_CROSSINGS caps the crossings before
-they are expanded: 2000 is 5x the 390 above, and 1002 crossings on 4
-strands (s2^-500 s1 s3^-1 s2^500) take 1.3-2.2 s. MAX_WORK caps n x (unit
+to_normal_form refuses, with ValueError, work over two caps, but the caps
+bound work, not time. MAX_UNIT_CROSSINGS caps the crossings before they
+are expanded: 2000 is 5x the 390 above, and 1002 crossings on 4 strands
+(s2^-500 s1 s3^-1 s2^500) take 1.3-2.2 s. MAX_WORK caps n x (unit
 crossings + left-weighting steps), a step being one pair visit or one
 generator moved: the 390-crossing case costs 36.0 M, and the budget of
 40 M stops a negative crossing on 1024 strands, whose Delta complement
-moves one generator at a time, after about 12 s.
+moves one generator at a time, after about 12 s. A step costs about
+4 us + 0.3 us x n, yet the budget charges n for it, so at small n more
+time fits under it: eq --n 4 "s1^1000 s3^1000" "s3^1000 s1^1000" sits
+under both caps (12.0 M work, 2000 crossings a side) and takes 19-23 s.
 """
 
 from __future__ import annotations

@@ -21,10 +21,13 @@ generators are defined, and SUITE_GENERATORS names each suite's generators.
 The generator functions, the built-in dictionaries, the CLI and the fuzz
 sampler all read these two tables.
 
-Relation suites are data driven: each relation is a pair of abstract words
-over generator names, instantiated exhaustively over the valid index
-combinations at a fixed n and decided by the exact word problem. A missing
-dictionary entry yields a skipped report, never a silent pass.
+Relation suites are data driven: each relation is two sides written as text
+in the paper's notation, generator names separated by blanks with name^-1
+for an inverse ("P_1 S_2 S_1", "omega_2^-1 theta_2"). One helper, _rel,
+reads them into words over generator names. Each relation is instantiated
+exhaustively over the valid index combinations at a fixed n and decided by
+the exact word problem. A missing dictionary entry yields a skipped report,
+never a silent pass.
 """
 
 from __future__ import annotations
@@ -185,19 +188,16 @@ def _pair(name: str, i: int, j: int) -> str:
     return f"{name}_{{{lo},{hi}}}"
 
 
-def _atoms(*parts: tuple[str, int] | str) -> Word:
-    out: list[Atom] = []
-    for part in parts:
-        if isinstance(part, str):
-            out.append((part, 1))
-        else:
-            out.append(part)
-    return tuple(out)
+def _rel(relation_id: str, lhs: str, rhs: str, note: str | None = None) -> RelationInstance:
+    """The relation lhs = rhs, each side written as in the module docstring."""
+    lhs_word, rhs_word = (tuple([(a[:-3], -1) if a.endswith("^-1") else (a, 1)
+                                 for a in side.split()]) for side in (lhs, rhs))
+    return RelationInstance(relation_id, lhs_word, rhs_word, note)
 
 
 def _comm(relation_id: str, x: str, *ys: str) -> RelationInstance:
     """The commutation relation x y1...yk = y1...yk x."""
-    return RelationInstance(relation_id, _atoms(x, *ys), _atoms(*ys, x))
+    return _rel(relation_id, " ".join((x, *ys)), " ".join((*ys, x)))
 
 
 def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[RelationInstance]:
@@ -206,68 +206,40 @@ def _hilden_family(n: int, P: str, S: str, T: str, prefix: str) -> Iterator[Rela
     The published list repeats its first five families verbatim; each is
     emitted once here, and symmetric instances are generated with i < j.
     """
-    for a, b, tag in ((P, P, "PP"), (S, S, "SS")):
+    for a, tag in ((P, "PP"), (S, "SS")):
         for i in range(1, n):
             for j in range(i + 2, n):
-                yield _comm(f"{prefix}.{tag}-far[i={i},j={j}]", f"{a}_{i}", f"{b}_{j}")
-            if i + 1 <= n - 1:
-                j = i + 1
-                yield RelationInstance(
-                    f"{prefix}.{tag}-braid[i={i}]",
-                    _atoms(f"{a}_{i}", f"{b}_{j}", f"{a}_{i}"),
-                    _atoms(f"{b}_{j}", f"{a}_{i}", f"{b}_{j}"),
-                )
+                yield _comm(f"{prefix}.{tag}-far[i={i},j={j}]", f"{a}_{i}", f"{a}_{j}")
+            if i + 1 < n:
+                yield _rel(f"{prefix}.{tag}-braid[i={i}]",
+                           f"{a}_{i} {a}_{i+1} {a}_{i}", f"{a}_{i+1} {a}_{i} {a}_{i+1}")
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
                 yield _comm(f"{prefix}.PS-far[i={i},j={j}]", f"{P}_{i}", f"{S}_{j}")
     for i in range(1, n - 1):
-        yield RelationInstance(
-            f"{prefix}.PSS[i={i}]",
-            _atoms(f"{P}_{i}", f"{S}_{i + 1}", f"{S}_{i}"),
-            _atoms(f"{S}_{i + 1}", f"{S}_{i}", f"{P}_{i + 1}"),
-        )
-        yield RelationInstance(
-            f"{prefix}.PPS[i={i}]",
-            _atoms(f"{P}_{i + 1}", f"{P}_{i}", f"{S}_{i + 1}"),
-            _atoms(f"{S}_{i}", f"{P}_{i + 1}", f"{P}_{i}"),
-        )
-        yield RelationInstance(
-            f"{prefix}.PSS-shift[i={i}]",
-            _atoms(f"{P}_{i + 1}", f"{S}_{i}", f"{S}_{i + 1}"),
-            _atoms(f"{S}_{i}", f"{S}_{i + 1}", f"{P}_{i}"),
-        )
+        yield _rel(f"{prefix}.PSS[i={i}]",
+                   f"{P}_{i} {S}_{i+1} {S}_{i}", f"{S}_{i+1} {S}_{i} {P}_{i+1}")
+        yield _rel(f"{prefix}.PPS[i={i}]",
+                   f"{P}_{i+1} {P}_{i} {S}_{i+1}", f"{S}_{i} {P}_{i+1} {P}_{i}")
+        yield _rel(f"{prefix}.PSS-shift[i={i}]",
+                   f"{P}_{i+1} {S}_{i} {S}_{i+1}", f"{S}_{i} {S}_{i+1} {P}_{i}")
     for i in range(1, n):
-        yield RelationInstance(
-            f"{prefix}.PTSP[i={i}]",
-            _atoms(f"{P}_{i}", f"{T}_{i}", f"{S}_{i}", f"{P}_{i}"),
-            _atoms(f"{S}_{i}", f"{T}_{i}"),
-        )
+        yield _rel(f"{prefix}.PTSP[i={i}]",
+                   f"{P}_{i} {T}_{i} {S}_{i} {P}_{i}", f"{S}_{i} {T}_{i}")
         for j in range(1, n + 1):
             if j not in (i, i + 1):
                 yield _comm(f"{prefix}.PT-comm[i={i},j={j}]", f"{P}_{i}", f"{T}_{j}")
                 yield _comm(f"{prefix}.ST-comm[i={i},j={j}]", f"{S}_{i}", f"{T}_{j}")
-        yield RelationInstance(
-            f"{prefix}.ST-swap[i={i},j={i}]",
-            _atoms(f"{S}_{i}", f"{T}_{i}"),
-            _atoms(f"{T}_{i + 1}", f"{S}_{i}"),
-        )
-        yield RelationInstance(
-            f"{prefix}.ST-swap[i={i},j={i + 1}]",
-            _atoms(f"{S}_{i}", f"{T}_{i + 1}"),
-            _atoms(f"{T}_{i}", f"{S}_{i}"),
-        )
+        yield _rel(f"{prefix}.ST-swap[i={i},j={i}]", f"{S}_{i} {T}_{i}", f"{T}_{i+1} {S}_{i}")
+        yield _rel(f"{prefix}.ST-swap[i={i},j={i + 1}]", f"{S}_{i} {T}_{i+1}", f"{T}_{i} {S}_{i}")
     for i in range(1, n):
         # The published line pairs Theta_i with P_(i+1), but the two sides
         # then project to different permutations of S_2n, so it cannot hold
         # in any subgroup of B_2n; pulling the twist through the pair swap
         # keeps the same swap, giving P_i Theta_(i+1) = Theta_i P_i.
-        yield RelationInstance(
-            f"{prefix}.PT-shift[i={i}]",
-            _atoms(f"{P}_{i}", f"{T}_{i + 1}"),
-            _atoms(f"{T}_{i}", f"{P}_{i}"),
-            note="index corrected from a misprint; printed form fails in S_2n",
-        )
+        yield _rel(f"{prefix}.PT-shift[i={i}]", f"{P}_{i} {T}_{i+1}", f"{T}_{i} {P}_{i}",
+                   note="index corrected from a misprint; printed form fails in S_2n")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             yield _comm(f"{prefix}.TT-comm[i={i},j={j}]", f"{T}_{i}", f"{T}_{j}")
@@ -278,25 +250,14 @@ def _omega_family(n: int) -> Iterator[RelationInstance]:
     for base in ("p", "s"):
         for j in range(1, n):
             for i in range(1, n + 1):
-                if i == j:
-                    rhs = f"omega_{i + 1}"
-                elif i == j + 1:
-                    rhs = f"omega_{i - 1}"
-                else:
-                    rhs = f"omega_{i}"
-                yield RelationInstance(
-                    f"FH.{base}-omega[j={j},i={i}]",
-                    _atoms(f"{base}_{j}", f"omega_{i}"),
-                    _atoms(rhs, f"{base}_{j}"),
-                )
+                k = i + 1 if i == j else i - 1 if i == j + 1 else i
+                yield _rel(f"FH.{base}-omega[j={j},i={i}]",
+                           f"{base}_{j} omega_{i}", f"omega_{k} {base}_{j}")
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             if i == j:
-                yield RelationInstance(
-                    f"FH.theta-omega-inv[j={j}]",
-                    _atoms(f"theta_{j}", f"omega_{i}"),
-                    _atoms((f"omega_{i}", -1), f"theta_{j}"),
-                )
+                yield _rel(f"FH.theta-omega-inv[j={j}]",
+                           f"theta_{j} omega_{i}", f"omega_{i}^-1 theta_{j}")
             else:
                 yield _comm(f"FH.theta-omega-comm[j={j},i={i}]", f"theta_{j}", f"omega_{i}")
     for i in range(1, n + 1):
@@ -340,6 +301,7 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
     supplies them. The omega-g commutations are required by the direct-sum
     structure and are verified alongside the published list.
     """
+    kind_pairs = [(a, b) for a in "pxy" for b in "pxy"]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for ab in ("p", "x", "y"):
@@ -356,29 +318,18 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    quad = (i, j, k, l)
-                    if _rotation(quad) is None:
+                    if _rotation((i, j, k, l)) is None:
                         continue
-                    for a in ("p", "x", "y"):
-                        for b in ("p", "x", "y"):
-                            yield _comm(
-                                f"PFH.far-comm[{a}_{{{i},{j}}},{b}_{{{k},{l}}}]",
-                                _pair(a, i, j), _pair(b, k, l),
-                            )
-                    for a in ("p", "x", "y"):
-                        for b in ("p", "x", "y"):
-                            yield RelationInstance(
-                                f"PFH.conj-comm[{a}_{{{i},{k}}},{b}_{{{j},{l}}};p_{{{j},{k}}}]",
-                                _atoms(
-                                    _pair(a, i, k), _pair("p", j, k),
-                                    _pair(b, j, l), (_pair("p", j, k), -1),
-                                ),
-                                _atoms(
-                                    _pair("p", j, k), _pair(b, j, l),
-                                    (_pair("p", j, k), -1), _pair(a, i, k),
-                                ),
-                                note="inverse read from a garbled exponent in the source list",
-                            )
+                    for a, b in kind_pairs:
+                        yield _comm(f"PFH.far-comm[{a}_{{{i},{j}}},{b}_{{{k},{l}}}]",
+                                    _pair(a, i, j), _pair(b, k, l))
+                    p = _pair("p", j, k)
+                    for a, b in kind_pairs:
+                        yield _rel(
+                            f"PFH.conj-comm[{a}_{{{i},{k}}},{b}_{{{j},{l}}};p_{{{j},{k}}}]",
+                            f"{_pair(a, i, k)} {p} {_pair(b, j, l)} {p}^-1",
+                            f"{p} {_pair(b, j, l)} {p}^-1 {_pair(a, i, k)}",
+                            note="inverse read from a garbled exponent in the source list")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -386,16 +337,13 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                 if r is None:
                     continue
                 for a, b, c in sorted(_TABLE1[r]):
-                    yield _comm(
-                        f"PFH.triple[{a}_{{{i},{j}}},{b}_{{{i},{k}}},{c}_{{{j},{k}}}]",
-                        _pair(a, i, j), _pair(b, i, k), _pair(c, j, k),
-                    )
+                    yield _comm(f"PFH.triple[{a}_{{{i},{j}}},{b}_{{{i},{k}}},{c}_{{{j},{k}}}]",
+                                _pair(a, i, j), _pair(b, i, k), _pair(c, j, k))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for ab in ("x", "y"):
-                yield _comm(
-                    f"PFH.{ab}pg[i={i},j={j}]", _pair(ab, i, j), _pair("p", i, j), f"g_{i}"
-                )
+                yield _comm(f"PFH.{ab}pg[i={i},j={j}]",
+                            _pair(ab, i, j), _pair("p", i, j), f"g_{i}")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             yield _comm(f"PFH.omega-omega[i={i},j={j}]", f"omega_{i}", f"omega_{j}")

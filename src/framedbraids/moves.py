@@ -33,8 +33,6 @@ under the sign convention fixed in the words module.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import plat
 from .framed import (FramedBraid, _framed, _normal_form, _spelled_letters, inverse, multiply,
                      normalize, spell)
@@ -163,17 +161,11 @@ def descriptor_from_json(data: dict, n: int) -> MoveDescriptor:
     return MoveDescriptor(factors=tuple(factors), **fields)
 
 
-@lru_cache(maxsize=256)
-def _runs(lo: int, hi: int, d: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    """The runs s(lo..hi)^d and s(hi..lo)^-d around a drag, built once."""
-    run = range(lo, hi + 1)
-    return tuple([sigma(j, d) for j in run]), tuple([sigma(j, -d) for j in reversed(run)])
-
-
 def _drag(letters: tuple[Letter, ...], lo: int, hi: int, d: int) -> tuple[Letter, ...]:
     """drag_d[lo..hi](letters) of the module docstring, not freely reduced."""
-    left, right = _runs(lo, hi, d)
-    return left + letters + right
+    run = range(lo, hi + 1)
+    return (tuple([sigma(j, d) for j in run]) + letters
+            + tuple([sigma(j, -d) for j in reversed(run)]))
 
 
 def over_inclusion(a: BraidWord, i: int) -> BraidWord:
