@@ -11,15 +11,15 @@ the middles that remain once the shared prefix and suffix are cancelled.
 
 Every word built from letters reaches its normal form through one pass,
 _normal_form, which slides the twists and hands the sigma letters left
-behind to BraidWord, the one free reduction. multiply and inverse read off
-words.crossing_sums where beta leaves each strand.
+behind to BraidWord, the one free reduction; so does every composition
+(multiply, inverse, moves.conjugate, DoubleCoset). Only twist conjugation,
+permutation_of and the closure and plat signatures read words.crossing_sums.
 """
 
 from __future__ import annotations
 
 from . import garside
-from .words import (SIGMA, TAU, BraidWord, Letter, _Record, _word, concat, crossing_sums, invert,
-                    tau)
+from .words import SIGMA, TAU, BraidWord, Letter, _Record, _word, invert, tau
 
 
 class FramedBraid(_Record):
@@ -107,23 +107,15 @@ def spell(a: FramedBraid) -> BraidWord:
 
 
 def multiply(a: FramedBraid, b: FramedBraid) -> FramedBraid:
-    """Semidirect product: b's framing at position p goes to the strand a leaves at p."""
+    """Semidirect product: b's twist at p lands on the strand a leaves at p."""
     if a.n != b.n:
         raise ValueError(f"cannot multiply elements of RB_{a.n} and RB_{b.n}")
-    framings = list(a.framings)
-    for strand, f in zip(crossing_sums(a.beta)[0][1:], b.framings):
-        framings[strand - 1] += f
-    return _framed(a.n, tuple(framings), concat(a.beta, b.beta))
+    return _normal_form(a.n, _spelled_letters(a) + _spelled_letters(b))
 
 
 def inverse(a: FramedBraid) -> FramedBraid:
-    """Group inverse beta^-1 t^-f: the twist t_p^-f_p below beta^-1 sits on
-    the strand that beta leaves at bottom position p, so the framing at top
-    position q is -f at the strand beta leaves at q."""
-    framings = a.framings
-    pos2strand = crossing_sums(a.beta)[0]
-    return _framed(a.n, tuple([-framings[pos2strand[q] - 1] for q in range(1, a.n + 1)]),
-                   invert(a.beta))
+    """Group inverse beta^-1 t^-f: one letter pass over spell(a) inverted."""
+    return _normal_form(a.n, invert(spell(a)).letters)
 
 
 def framed_equal(a: FramedBraid, b: FramedBraid) -> bool:

@@ -24,10 +24,11 @@ sampler all read these two tables.
 Relation suites are data driven: each relation is two sides written as text
 in the paper's notation, generator names separated by blanks with name^-1
 for an inverse ("P_1 S_2 S_1", "omega_2^-1 theta_2"). One helper, _rel,
-reads them into words over generator names. Each relation is instantiated
-exhaustively over the valid index combinations at a fixed n and decided by
-the exact word problem. A missing dictionary entry yields a skipped report,
-never a silent pass.
+reads them into words over generator names. A relation id spells each pair
+generator as its sides do, indices sorted (p_{1,3}, never p_{3,1}). Each
+relation is instantiated exhaustively over the valid index combinations at
+a fixed n and decided by the exact word problem. A missing dictionary entry
+yields a skipped report, never a silent pass.
 """
 
 from __future__ import annotations
@@ -321,15 +322,14 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                     if _rotation((i, j, k, l)) is None:
                         continue
                     for a, b in kind_pairs:
-                        yield _comm(f"PFH.far-comm[{a}_{{{i},{j}}},{b}_{{{k},{l}}}]",
-                                    _pair(a, i, j), _pair(b, k, l))
+                        x, y = _pair(a, i, j), _pair(b, k, l)
+                        yield _comm(f"PFH.far-comm[{x},{y}]", x, y)
                     p = _pair("p", j, k)
                     for a, b in kind_pairs:
-                        yield _rel(
-                            f"PFH.conj-comm[{a}_{{{i},{k}}},{b}_{{{j},{l}}};p_{{{j},{k}}}]",
-                            f"{_pair(a, i, k)} {p} {_pair(b, j, l)} {p}^-1",
-                            f"{p} {_pair(b, j, l)} {p}^-1 {_pair(a, i, k)}",
-                            note="inverse read from a garbled exponent in the source list")
+                        x, y = _pair(a, i, k), _pair(b, j, l)
+                        yield _rel(f"PFH.conj-comm[{x},{y};{p}]",
+                                   f"{x} {p} {y} {p}^-1", f"{p} {y} {p}^-1 {x}",
+                                   note="inverse read from a garbled exponent in the source list")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -337,8 +337,8 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                 if r is None:
                     continue
                 for a, b, c in sorted(_TABLE1[r]):
-                    yield _comm(f"PFH.triple[{a}_{{{i},{j}}},{b}_{{{i},{k}}},{c}_{{{j},{k}}}]",
-                                _pair(a, i, j), _pair(b, i, k), _pair(c, j, k))
+                    x, y, z = _pair(a, i, j), _pair(b, i, k), _pair(c, j, k)
+                    yield _comm(f"PFH.triple[{x},{y},{z}]", x, y, z)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for ab in ("x", "y"):

@@ -34,10 +34,9 @@ under the sign convention fixed in the words module.
 from __future__ import annotations
 
 from . import plat
-from .framed import (FramedBraid, _framed, _normal_form, _spelled_letters, inverse, multiply,
-                     normalize, spell)
+from .framed import FramedBraid, _framed, _normal_form, _spelled_letters, normalize, spell
 from .parser import format_word, parse
-from .words import BraidWord, Letter, Permutation, _Record, crossing_sums, sigma, tau
+from .words import BraidWord, Letter, Permutation, _Record, crossing_sums, invert, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
@@ -212,10 +211,10 @@ def _l_move_letters(
 
 
 def conjugate(a: FramedBraid, g: FramedBraid) -> FramedBraid:
-    """g^-1 a g in RB_n."""
+    """g^-1 a g in RB_n, one letter pass over the three spellings."""
     if a.n != g.n:
         raise ValueError(f"cannot conjugate across RB_{a.n} and RB_{g.n}")
-    return multiply(multiply(inverse(g), a), g)
+    return _normal_form(a.n, invert(spell(g)).letters + _spelled_letters(a) + _spelled_letters(g))
 
 
 def tau_conjugation_as_RL_sequence(
@@ -315,7 +314,7 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
         for name, h in (("h1", h1), ("h2", h2)):
             if not plat.is_plat_trivial(h):
                 raise ValueError(f"{name} does not look like a cap stabilizer element")
-        return multiply(multiply(h1, a), h2)
+        return _normal_form(a.n, _spelled_letters(h1) + _spelled_letters(a) + _spelled_letters(h2))
     # TauConjugation, the one kind left: in t_i^-s a t_i^s the last twist
     # slides onto the strand beta leaves at i, so only two framings move.
     i, s = d.index, d.sign

@@ -23,16 +23,19 @@ package's normal-form machinery.
   an integer image in SL2(Z).
 - bridge turns a framed braid into one whose plat closure is its standard
   closure; it multiplies with the package's framed group operations.
+- scan_multiply and scan_inverse are the semidirect product and inverse the
+  way the package computed them before they became letter passes: the
+  framings read off the strand scan, the braids concatenated or inverted.
 - word_normalize, spelled_inverse and product_conjugate build the normal
   form, the inverse and a conjugate the way the package did before its one
-  pass over a letter tuple and its inverse off the strand scan: the mixed
-  word freely reduced, its sigma letters reduced again, and the inverse as
-  spell -> invert -> normalize.
+  pass over a letter tuple: the mixed word freely reduced, its sigma letters
+  reduced again, the inverse as spell -> invert -> normalize, and the
+  conjugate as two scan_multiply products.
 - run_l_move_letters, run_inclusion_letters, concat_tau_chain,
   product_evaluate and product_hilden_sample build the move words, relation
   sides and Hilden samples the way the package did before it spelled each
   as one letter tuple normalized once: from crossing runs, and through
-  chains of inclusions, concat, multiply and inverse.
+  chains of inclusions, concat, scan_multiply and scan_inverse.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import Sequence
 
 from framedbraids import framed, hilden
 from framedbraids.parser import WordParseError
-from framedbraids.words import (SIGMA, TAU, BraidWord, Letter, concat, include_natural, invert,
-                                sigma, tau)
+from framedbraids.words import (SIGMA, TAU, BraidWord, Letter, concat, crossing_sums,
+                                include_natural, invert, sigma, tau)
 
 
 # --- signed-word utilities -------------------------------------------------
@@ -507,6 +510,25 @@ def bridge(b):
     return framed.multiply(framed.multiply(N, wide), framed.inverse(N))
 
 
+# --- the framed group operations off the strand scan ----------------------
+
+def scan_multiply(a, b):
+    """Semidirect product: b's framing at position p goes to the strand a leaves at p."""
+    framings = list(a.framings)
+    for strand, f in zip(crossing_sums(a.beta)[0][1:], b.framings):
+        framings[strand - 1] += f
+    return framed.FramedBraid(a.n, tuple(framings), concat(a.beta, b.beta))
+
+
+def scan_inverse(a):
+    """Group inverse beta^-1 t^-f: the twist t_p^-f_p below beta^-1 sits on
+    the strand that beta leaves at bottom position p, so the framing at top
+    position q is -f at the strand beta leaves at q."""
+    pos2strand = crossing_sums(a.beta)[0]
+    return framed.FramedBraid(
+        a.n, tuple([-a.framings[pos2strand[q] - 1] for q in range(1, a.n + 1)]), invert(a.beta))
+
+
 # --- the normal form, inverse and conjugate through whole words ------------
 
 def word_normalize(w: BraidWord):
@@ -533,8 +555,8 @@ def spelled_inverse(a):
 
 
 def product_conjugate(a, g):
-    """g^-1 a g as two multiplies around spelled_inverse(g)."""
-    return framed.multiply(framed.multiply(spelled_inverse(g), a), g)
+    """g^-1 a g as two scan products around spelled_inverse(g)."""
+    return scan_multiply(scan_multiply(spelled_inverse(g), a), g)
 
 
 # --- move words, relation sides and samples from runs and products ---------
@@ -592,19 +614,19 @@ def concat_tau_chain(a, i: int, exp: int):
 
 
 def product_evaluate(word, dictionary):
-    """A relation side as the product of its entries, one multiply per power."""
+    """A relation side as the product of its entries, one scan product per power."""
     out = framed.FramedBraid.identity(2 * dictionary.n)
     for name, exp in word:
         entry = dictionary.entries[name]
         if exp < 0:
-            entry = framed.inverse(entry)
+            entry = scan_inverse(entry)
         for _ in range(abs(exp)):
-            out = framed.multiply(out, entry)
+            out = scan_multiply(out, entry)
     return out
 
 
 def product_hilden_sample(rng: random.Random, half: int, max_factors: int):
-    """fuzz.sample_hilden_product as a multiply chain, making the same draws."""
+    """fuzz.sample_hilden_product as a scan product chain, making the same draws."""
     names = [name for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]
              if hilden.top_index(name, half) >= 1]
     out = framed.FramedBraid.identity(2 * half)
@@ -613,6 +635,6 @@ def product_hilden_sample(rng: random.Random, half: int, max_factors: int):
         index = rng.randint(1, hilden.top_index(name, half))
         factor = hilden.framed_hilden_generator(name, index, half)
         if rng.random() < 0.5:
-            factor = framed.inverse(factor)
-        out = framed.multiply(out, factor)
+            factor = scan_inverse(factor)
+        out = scan_multiply(out, factor)
     return out

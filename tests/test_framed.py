@@ -80,8 +80,12 @@ def test_project_pi():
 
 
 def test_multiply_mismatch():
-    with pytest.raises(ValueError):
-        multiply(FramedBraid.identity(2), FramedBraid.identity(3))
+    # RB_2's letters fit RB_3, so the letter pass alone would answer there
+    two, three = normalize(parse("t1 s1", 2)), normalize(parse("t3 s1 s2", 3))
+    with pytest.raises(ValueError, match=r"^cannot multiply elements of RB_2 and RB_3$"):
+        multiply(two, three)
+    with pytest.raises(ValueError, match=r"^cannot multiply elements of RB_3 and RB_2$"):
+        multiply(three, two)
 
 
 def test_spell_round_trip():

@@ -266,7 +266,7 @@ CLI_GOLDEN = {
     'hilden-verify-framed_hilden-2': '585c7999b570187ec65a96b2de310c0a84b1697d292649039510f198eed4b5d9',
     'hilden-verify-framed_hilden-3': '0f7ad64ca72cfb1ca5136f13a82d5568dea633840165f6816baecc180a43fcc8',
     'hilden-verify-pure_framed-2': '0076032d59f4eabac71bbaa8bd825e232442a7d8a64182a0abcfffa3c31f3de9',
-    'hilden-verify-pure_framed-3': 'b2cb3a55dd8fe873b646a3528e3d53e6e6727dce2f5419e47c9c7ed91349f001',
+    'hilden-verify-pure_framed-3': '048d8362500cf91fa91eaaab15bdc84583f6b47dc5e78010b78aab0ef79709bc',
     'closure-tie-6-1': '8179472af558ff54f9a1c2bb5fa58b700d07f9e3ab764387cb7963e406e11a7e',
     'closure-tie-6-1-int': '8179472af558ff54f9a1c2bb5fa58b700d07f9e3ab764387cb7963e406e11a7e',
     'closure-tie-7-1': 'b278a7468a3bc3051a465c772ec83382aa8490f11b76fbaf1de853a6add541ec',
@@ -311,11 +311,11 @@ RELATION_GOLDEN = {
     'framed_hilden-7': '30bbbf3723e3bd0ca2e0d3992ef804ed9ee149d73ffd06d048b9555992a0e2ce',
     'pure_framed-1': '8907eb9f6291d5b010e85653527b424a9c871c33a87c803d2038086886da366e',
     'pure_framed-2': '819f144c3837dd13ff47b9641f8bd8c3aa5525e69f31209c0aad041d44972fc2',
-    'pure_framed-3': '3b5b3943c1a21956d79fd1c375eae3d57363990533b486f54e165f523a2a025d',
-    'pure_framed-4': 'af341de5fbbf924ff74402379a6da09238f7a48289f14176e2139db8beb298b1',
-    'pure_framed-5': '2d741194611db6ce081d7e69baa2075a500f649875bb34762ae68b703ade0deb',
-    'pure_framed-6': '18812cc991cdd2d61f2ec7f3909121431d0f5f195021d93f82afe876d6b6e8c6',
-    'pure_framed-7': 'f2dbe1744b1a7e832a8d86be5158280be68b935405bba747130ec24c7c7e788f',
+    'pure_framed-3': '87b58666933c8d9f4e2d53924fc7aa8b7497a3d09b7fd1c427c10aa5688d96f8',
+    'pure_framed-4': '07cfef70de288d9e5c265eaaf0f6efa9f5a935040616513afb41cee9c4ce2ac8',
+    'pure_framed-5': '32665f3ec15edf3a5d30a791466d1e5d1cdc7b4c54be697bf0ff770df5960232',
+    'pure_framed-6': '10d0db6a5c59eb1aae09c1090d60cd5c8f093c2f7483750bb0a87a09d2275d66',
+    'pure_framed-7': '7923b654d2823102a7047c9ffd16ddf9fcbcfe88feaaba2ed6902c69a79bafd9',
 }
 
 

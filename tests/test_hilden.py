@@ -183,6 +183,19 @@ def test_suite_instances_deduplicated():
         seen.add(key)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pure_relation_ids_name_only_generators_their_sides_read(n):
+    instances = suite_instances(PURE_SUITE, n)
+    ids = [inst.relation_id for inst in instances]
+    assert len(set(ids)) == len(ids)
+    named_any = False
+    for inst in instances:
+        named = set(re.findall(r"[pxy]_\{\d+,\d+\}", inst.relation_id))
+        assert named <= {name for name, _ in inst.lhs + inst.rhs}, inst.relation_id
+        named_any = named_any or bool(named)
+    assert named_any
+
+
 def test_omega_kernel_law():
     rng = random.Random(70)
     for _ in range(30):

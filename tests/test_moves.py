@@ -241,6 +241,11 @@ def test_conjugation():
     a = normalize(parse("t1 s1", 2))
     assert framed_equal(conjugate(a, FramedBraid.identity(2)), a)
     assert framed_equal(conjugate(a, normalize(parse("s1", 2))), normalize(parse("t2 s1", 2)))
+    # the narrower element's letters fit RB_3, so the letter pass alone would answer there
+    three = normalize(parse("t3 s1 s2", 3))
+    for x, y in ((a, three), (three, a)):
+        with pytest.raises(ValueError, match=f"^cannot conjugate across RB_{x.n} and RB_{y.n}$"):
+            conjugate(x, y)
     for _ in range(60):
         n = rng.randint(1, 4)
         braid = random_framed(rng, n, rng.randint(0, 8))
@@ -466,8 +471,10 @@ def test_double_coset_membership_is_checked_in_apply_move():
     for factors, name in (((rogue, ident), "h1"), ((ident, rogue), "h2")):
         with pytest.raises(ValueError, match=f"^{name} does not look like a cap stabilizer"):
             apply_move(b, MoveDescriptor("DoubleCoset", factors=factors))
-    with pytest.raises(ValueError, match="equal ribbon counts"):
-        apply_move(b, MoveDescriptor("DoubleCoset", factors=(ident, FramedBraid.identity(6))))
+    for other in (normalize(parse("t1 s1", 2)), FramedBraid.identity(6)):
+        for factors in ((other, ident), (ident, other)):
+            with pytest.raises(ValueError, match="^double coset move needs equal ribbon counts$"):
+                apply_move(b, MoveDescriptor("DoubleCoset", factors=factors))
     for kind in ("FramedStabilization", "ClassicalStabilization"):
         with pytest.raises(ValueError, match=f"^{kind} needs an even ribbon count, got 3$"):
             apply_move(FramedBraid.identity(3), MoveDescriptor(kind))

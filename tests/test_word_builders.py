@@ -1,16 +1,18 @@
 """Differential tests: every move word, relation side and Hilden sample that
 the package spells as one letter tuple normalized once agrees with the same
-object built from crossing runs and multiply chains, and the one letter
-pass, the inverse and twist conjugation agree with the normal form, inverse
-and conjugate built through whole words (tests/oracles.py). parse,
-BraidWord and the letter pass refuse the same words, at the same letter."""
+object built from crossing runs and product chains; the one letter pass,
+the inverse and twist conjugation agree with the normal form, inverse and
+conjugate built through whole words; and multiply, inverse, conjugate and
+the double coset move agree with the strand-scan formulas they replaced
+(tests/oracles.py). parse, BraidWord and the letter pass refuse the same
+words, at the same letter."""
 
 import random
 
 import pytest
 
 from framedbraids import hilden, moves
-from framedbraids.framed import FramedBraid, _normal_form, inverse, spell
+from framedbraids.framed import FramedBraid, _normal_form, inverse, multiply, spell
 from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
 from framedbraids.parser import WordParseError, parse
 from framedbraids.words import SIGMA, BraidWord, sigma, tau
@@ -22,6 +24,8 @@ from oracles import (
     product_hilden_sample,
     run_inclusion_letters,
     run_l_move_letters,
+    scan_inverse,
+    scan_multiply,
     spelled_inverse,
     word_normalize,
 )
@@ -185,3 +189,18 @@ def test_inverse_and_twist_conjugation_match_the_whole_word_forms():
         twist = word_normalize(BraidWord(n, (tau(i, s),)))
         d = moves.MoveDescriptor("TauConjugation", index=i, sign=s)
         assert moves.apply_move(a, d) == product_conjugate(a, twist)
+
+
+def test_compositions_match_the_strand_scan_formulas():
+    rng = random.Random(25)
+    for _ in range(DRAWS):
+        n = rng.randint(1, 8)
+        a, b, g = [sample_framed_braid(rng, n, rng.randint(0, 20)) for _ in range(3)]
+        assert multiply(a, b) == scan_multiply(a, b), (a, b)
+        assert inverse(a) == scan_inverse(a), a
+        assert moves.conjugate(a, g) == scan_multiply(scan_multiply(scan_inverse(g), a), g)
+        half = rng.randint(1, 4)
+        a = sample_framed_braid(rng, 2 * half, rng.randint(0, 20))
+        h1, h2 = sample_hilden_product(rng, half, 4), sample_hilden_product(rng, half, 4)
+        moved = moves.apply_move(a, moves.MoveDescriptor("DoubleCoset", factors=(h1, h2)))
+        assert moved == scan_multiply(scan_multiply(h1, a), h2), (a, h1, h2)
