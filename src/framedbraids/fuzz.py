@@ -113,17 +113,22 @@ def sample_framed_braid(rng: random.Random, n: int, length: int) -> FramedBraid:
     return _framed(n, framings, BraidWord(n, tuple(letters)))
 
 
+_Spelled = tuple[Letter, ...]  # the letters of spell(g)
+
+
 @lru_cache(maxsize=64)
-def _hilden_letters(half: int) -> list[list[tuple[tuple[Letter, ...], tuple[Letter, ...]]]]:
+def _hilden_letters(half: int) -> tuple[tuple[tuple[_Spelled, _Spelled], ...], ...]:
     """Per framed Hilden name that exists in RB_2half, in table order, the
-    spelled letters of name_i and of its inverse for each index i."""
+    spelled letters of name_i and of its inverse for each index i; tuples,
+    as the memo hands the same value to every caller."""
     out = []
     for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]:
         generators = [hilden.framed_hilden_generator(name, i, half)
                       for i in range(1, hilden.top_index(name, half) + 1)]
         if generators:
-            out.append([(_spelled_letters(g), _spelled_letters(inverse(g))) for g in generators])
-    return out
+            out.append(tuple([(_spelled_letters(g), _spelled_letters(inverse(g)))
+                              for g in generators]))
+    return tuple(out)
 
 
 def sample_hilden_product(rng: random.Random, half: int, max_factors: int) -> FramedBraid:

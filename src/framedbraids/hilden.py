@@ -393,22 +393,13 @@ def verify_relation_suite(
         raise ValueError(f"suite {suite!r} has no relations at n={dictionary.n}")
     reports: list[RelationReport] = []
     for inst in instances:
-        names = {name for name, _ in inst.lhs + inst.rhs}
-        missing = tuple(sorted(n_ for n_ in names if n_ not in dictionary.entries))
-        if missing:
-            reports.append(
-                RelationReport(
-                    inst.relation_id, None, None,
-                    holds=False, skipped=True, missing=missing, note=inst.note,
-                )
-            )
-            continue
-        lhs = _evaluate(inst.lhs, dictionary)
-        rhs = _evaluate(inst.rhs, dictionary)
-        reports.append(
-            RelationReport(
-                inst.relation_id, lhs, rhs,
-                holds=framed_equal(lhs, rhs), note=inst.note,
-            )
-        )
+        missing = tuple(sorted({name for name, _ in inst.lhs + inst.rhs}
+                               - dictionary.entries.keys()))
+        lhs = rhs = None
+        if not missing:
+            lhs, rhs = _evaluate(inst.lhs, dictionary), _evaluate(inst.rhs, dictionary)
+        reports.append(RelationReport(
+            inst.relation_id, lhs, rhs, holds=not missing and framed_equal(lhs, rhs),
+            skipped=bool(missing), missing=missing, note=inst.note,
+        ))
     return tuple(reports)

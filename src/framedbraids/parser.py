@@ -22,11 +22,13 @@ refuses) and before every 's' and 't'. A term holds one generator letter,
 its first character, so a valid word falls apart into exactly its terms.
 Each piece goes through _term, a 256-entry memo from one term's text to
 its Letter, and BraidWord(n, letters) is the one bound check and the one
-free reduction. A piece that is not exactly one valid term raises inside
-the memo, and lru_cache stores no error; that fault, or a bound that
-BraidWord refuses, sends the text to _scan, one finditer pass of _TOKEN
-that raises the first fault in the text with its offset. The memo keeps no
-piece longer than _TERM_CHARS, so it never holds a whole input.
+free reduction. _term and _scan both read a term with _read, which returns
+its Letter or raises WordParseError at the fault. A piece that is not
+exactly one valid term raises inside the memo, and lru_cache stores no
+error; that fault, whose offset into the piece parse drops, or a bound
+that BraidWord refuses, sends the text to _scan, one finditer pass of
+_TOKEN that raises the first fault in the text with its offset. The memo
+keeps no piece longer than _TERM_CHARS, so it never holds a whole input.
 
 The speed rests on terms that recur, as in words over a few generators
 with small exponents; blanks between terms do not matter. A random 35-term
@@ -75,28 +77,29 @@ _TOKEN = re.compile(r"[ \t]*(?:([st])([0-9]*)(?:\^([+-]?[0-9]*))?|(.)|\Z)", re.D
 _TERM_CHARS = 40
 
 
-def _read(gen: str, digits: str, exponent: str | None) -> Letter | tuple[str, int]:
-    """The Letter of one term's text, or its error message and the _TOKEN
-    group whose start the error points at; the bound on n is not checked.
-    int() refuses more digits than sys.get_int_max_str_digits()."""
+def _read(match: re.Match) -> Letter:
+    """The Letter of the term a _TOKEN match read, or WordParseError at the
+    start of the group at fault; the bound on n is not checked. int()
+    refuses more digits than sys.get_int_max_str_digits()."""
+    gen, digits, exponent, _ = match.groups()
     if not digits:
-        return "generator needs a decimal index", 2
+        raise WordParseError("generator needs a decimal index", match.start(2))
     try:
         index = int(digits)
     except ValueError:
-        return "index has too many digits", 2
+        raise WordParseError("index has too many digits", match.start(2)) from None
     if index == 0:
-        return "generator index must be nonzero", 2
+        raise WordParseError("generator index must be nonzero", match.start(2))
     value = 1
     if exponent is not None:
         if not exponent.lstrip("+-"):
-            return "exponent needs decimal digits", 3
+            raise WordParseError("exponent needs decimal digits", match.start(3))
         try:
             value = int(exponent)
         except ValueError:
-            return "exponent has too many digits", 3
+            raise WordParseError("exponent has too many digits", match.start(3)) from None
         if value == 0:
-            return "exponent must be nonzero", 3
+            raise WordParseError("exponent must be nonzero", match.start(3))
     return Letter(SIGMA if gen == "s" else TAU, index, value)
 
 
@@ -108,13 +111,9 @@ def _term(piece: str) -> Letter:
     if len(piece) > _TERM_CHARS:
         raise ValueError("piece too long to memoize")
     match = _TOKEN.match(piece)
-    gen, digits, exponent, _ = match.groups()
-    if gen is None or match.end() != len(piece):
+    if match[1] is None or match.end() != len(piece):
         raise ValueError("piece is not one term")
-    letter = _read(gen, digits, exponent)
-    if letter.__class__ is tuple:
-        raise ValueError(letter[0])
-    return letter
+    return _read(match)
 
 
 def parse(text: str, n: int) -> BraidWord:
@@ -135,14 +134,12 @@ def _scan(text: str, n: int) -> BraidWord:
     range for n."""
     letters: list[Letter] = []
     for match in _TOKEN.finditer(text):
-        gen, digits, exponent, bad = match.groups()
+        gen, _, _, bad = match.groups()
         if gen is None:
             if bad is None:
                 break
             raise WordParseError(f"expected 's' or 't', found {bad!r}", match.start(4))
-        letter = _read(gen, digits, exponent)
-        if letter.__class__ is tuple:
-            raise WordParseError(letter[0], match.start(letter[1]))
+        letter = _read(match)
         if letter.index >= n and (letter.index > n or gen == "s"):
             raise WordParseError(f"{gen}{letter.index} out of range for n={n}", match.start(1))
         letters.append(letter)

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,18 @@ def test_closure_documented_example():
     payload = json.loads(proc.stdout)
     assert payload["components"] == [{"strands": [1, 2], "framing": -4}]
     assert payload["linking"] == [[0]]
+
+
+def test_readme_python_blocks_run():
+    root = Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, (block, proc.stderr)
 
 
 def test_hilden_verify_documented_example():

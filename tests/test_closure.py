@@ -237,6 +237,29 @@ def test_pairs_that_cross_but_sum_to_zero_are_unlinked(n, word):
         assert _plat_record(sig) == two_pass_plat(b)
 
 
+def _builders(n: int) -> dict:
+    """The signature builders of the closures a braid on n strands has."""
+    builders = {"blackboard": closure_signature,
+                INTEGER: lambda b: closure_signature(b, INTEGER)}
+    if n % 2 == 0:
+        builders["plat"] = plat_signature
+    return builders
+
+
+def _check_adjusted_framing(rng, b, sig, build):
+    """with_adjusted_framing(sig, strand, delta) has the key and the
+    components of the signature build gives b with delta more twists on
+    ribbon strand."""
+    strand, delta = rng.randint(1, b.n), rng.choice((-2, -1, 1, 3))
+    framings = list(b.framings)
+    framings[strand - 1] += delta
+    fresh = build(FramedBraid(b.n, tuple(framings), b.beta))
+    shifted = with_adjusted_framing(sig, strand, delta)
+    assert type(shifted) is type(fresh)
+    assert shifted.canonical_key == fresh.canonical_key
+    assert sorted(shifted.components, key=repr) == sorted(fresh.components, key=repr)
+
+
 def test_adjusting_an_unlinked_signature_matches_the_twisted_braid():
     rng = random.Random("unlinked-adjust")
     checked = 0
@@ -247,17 +270,23 @@ def test_adjusting_an_unlinked_signature_matches_the_twisted_braid():
         if n % 2 == 0:
             signatures.append(plat_signature(b))
         for sig in signatures:
-            matrix = sig.canonical_key[2]
-            if any(map(any, matrix)):
+            if any(map(any, sig.canonical_key[2])):
                 continue
             checked += 1
-            strand, delta = rng.randint(1, n), rng.choice((-2, -1, 1, 3))
-            framings = list(b.framings)
-            framings[strand - 1] += delta
-            twisted = FramedBraid(n, tuple(framings), b.beta)
-            fresh = (closure_signature if sig.canonical_key[0] != "plat" else plat_signature)(
-                twisted)
-            shifted = with_adjusted_framing(sig, strand, delta)
-            assert type(shifted) is type(fresh)
-            assert shifted.canonical_key == fresh.canonical_key
-            assert sorted(shifted.components, key=repr) == sorted(fresh.components, key=repr)
+            _check_adjusted_framing(rng, b, sig, (
+                closure_signature if sig.canonical_key[0] != "plat" else plat_signature))
+
+
+def test_adjusting_a_linked_signature_matches_the_twisted_braid():
+    # Shifting one framing of a linked signature can reorder components,
+    # and their linking rows must move with them.
+    rng = random.Random("linked-adjust")
+    checked = dict.fromkeys(_builders(2), 0)
+    while min(checked.values()) < 300:
+        n = rng.randint(2, 8)
+        b = random_framed(rng, n, rng.randint(1, 10))
+        for name, build in _builders(n).items():
+            sig = build(b)
+            if checked[name] < 300 and any(map(any, sig.canonical_key[2])):
+                checked[name] += 1
+                _check_adjusted_framing(rng, b, sig, build)

@@ -78,6 +78,11 @@ def test_plat_kinds():
         )
     )
     assert report["failed"] == 0, report["first_failure"]
+    # The DoubleCoset draws share one memo entry per half: no caller can change it.
+    for half in (2, 3, 4):
+        names = fuzz._hilden_letters(half)
+        assert type(names) is tuple and all(type(indices) is tuple for indices in names)
+        assert all(type(sides) is tuple for indices in names for sides in indices)
 
 
 def test_plat_kinds_respect_strand_range(monkeypatch):

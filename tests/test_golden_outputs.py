@@ -1,13 +1,14 @@
-"""Byte-level pins of fuzz reports and trials, CLI output, moved elements and
-the Hilden relation data.
+"""Byte-level pins of fuzz reports and trials, CLI output, moved elements,
+the Hilden relation data and the relation reports.
 
 Refactors must keep the same answers: the same normal forms, signatures,
 CLI JSON, fuzz reports and relation suites. Each case below is hashed
 (sha256 of the JSON report, of every trial's draws and verdict, of stdout
 plus the exit code, of the reprs of the elements the moves and group
-operations return, or of a suite's relation instances plus its built-in
-generator dictionary) and compared with the digest recorded before the
-last refactor. Run this file directly to print the current digests:
+operations return, of a suite's relation instances plus its built-in
+generator dictionary, or of every field of its relation reports) and
+compared with the digest recorded before the last refactor. Run this file
+directly to print the current digests:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -25,10 +26,10 @@ from framedbraids import fuzz
 from framedbraids.cli import main
 from framedbraids.framed import inverse, normalize
 from framedbraids.fuzz import ALL_KINDS, FuzzConfig, run_fuzz
-from framedbraids.hilden import GeneratorDictionary, suite_instances
+from framedbraids.hilden import GeneratorDictionary, suite_instances, verify_relation_suite
 from framedbraids.moves import (FACTOR_NAMES, FIELDS_READ, PLAT_KINDS, MoveDescriptor,
                                 apply_move, conjugate, descriptor_json)
-from framedbraids.parser import format_word
+from framedbraids.parser import format_word, parse
 from framedbraids.words import BraidWord, sigma, tau
 
 FUZZ_TRIALS = 100
@@ -150,6 +151,33 @@ def relation_digest(suite: str, half: int) -> str:
         for name, b in sorted(BUILTIN_DICTIONARIES[suite](half).entries.items())
     ]
     return _sha(json.dumps([instances, entries]))
+
+
+# case -> (suite, n, entries added to its built-in dictionary). The pairs
+# case supplies p_{1,2} and x_{1,2} but no y_{1,2}: some of its relations
+# hold, some fail and some are skipped.
+REPORT_CASES = {f"{suite}-{half}": (suite, half, {})
+                for suite, halves in (("hilden_1", (2, 3, 4)), ("framed_hilden", (2, 3, 4)),
+                                      ("pure_framed", (2, 3)))
+                for half in halves}
+REPORT_CASES["pure_framed-2-pairs"] = ("pure_framed", 2, {
+    "p_{1,2}": normalize(parse("s2^2", 4)),
+    "x_{1,2}": normalize(parse("t2 t3^-1 s2^2", 4)),
+})
+
+
+def _side(b) -> list | None:
+    return None if b is None else [list(b.framings), format_word(b.beta)]
+
+
+def report_digest(case: str) -> str:
+    """Every field of every relation report the suite's verification returns."""
+    suite, half, extra = REPORT_CASES[case]
+    dictionary = BUILTIN_DICTIONARIES[suite](half).with_entries(extra)
+    return _sha(json.dumps([
+        [r.relation_id, r.holds, r.skipped, list(r.missing), r.note, _side(r.lhs), _side(r.rhs)]
+        for r in verify_relation_suite(dictionary, suite)
+    ]))
 
 
 MOVED_DRAWS = 40
@@ -318,6 +346,18 @@ RELATION_GOLDEN = {
     'pure_framed-7': '7923b654d2823102a7047c9ffd16ddf9fcbcfe88feaaba2ed6902c69a79bafd9',
 }
 
+REPORT_GOLDEN = {
+    'hilden_1-2': '3f1091ac4ff602f069a1c6128114e1eabbb861333796175eee3fd8940ca28ff2',
+    'hilden_1-3': '2c2ea74d3e10e98a80beab5da318a6ac0a62b615cf2c73917ce6af12b0e1bb11',
+    'hilden_1-4': '043fc2dba2213db325b4ac6a8f01f6aa2f9a39efb9779beec0cb6e2231be8852',
+    'framed_hilden-2': '48330aab5981fa41fe243d93abcbe259069b2927a4dedf5f9b4c364f84845c54',
+    'framed_hilden-3': '3de59fd7b05408587880a8884b216bedf8debd94408f39f92cf5b4762d09a2de',
+    'framed_hilden-4': '3e7c351a965541b95ad5b4564f5f9014a6b7cbbc5b8c2e4303120d73508716c9',
+    'pure_framed-2': '592f9ff8e003d902c9d6a6639072d554d708006dbb4ce0b2a710bceefa3e670b',
+    'pure_framed-3': '08356f37bfaf329924dcece247731673b5f471c1f0c8893e9362fc48b76db523',
+    'pure_framed-2-pairs': '632078529a6b1646c44c4fb15569b157fe2624a7e5245a4415e9487fac2f943e',
+}
+
 
 @pytest.mark.parametrize("mix_name", ["default", "all_kinds"])
 def test_fuzz_reports_unchanged(mix_name):
@@ -346,6 +386,11 @@ def test_relation_data_unchanged():
     assert got == RELATION_GOLDEN
 
 
+def test_relation_reports_unchanged():
+    got = {case: report_digest(case) for case in REPORT_CASES}
+    assert got == REPORT_GOLDEN
+
+
 if __name__ == "__main__":
     print("FUZZ_GOLDEN = {")
     for mix in ("default", "all_kinds"):
@@ -365,4 +410,7 @@ if __name__ == "__main__":
     for suite in BUILTIN_DICTIONARIES:
         for half in RELATION_HALVES:
             print(f"    '{suite}-{half}': {relation_digest(suite, half)!r},")
+    print("}\n\nREPORT_GOLDEN = {")
+    for case in REPORT_CASES:
+        print(f"    {case!r}: {report_digest(case)!r},")
     print("}")
