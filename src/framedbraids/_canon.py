@@ -42,6 +42,7 @@ process 0.44-0.66 s with its bytecode cached.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -70,12 +71,7 @@ def canonical_order(
         base.append((framings[c], tuple(entries)))
     order = sorted(range(k), key=base.__getitem__)
     if len(set(base)) < k:
-        groups: list[list[int]] = []
-        for c in order:
-            if groups and base[groups[-1][0]] == base[c]:
-                groups[-1].append(c)
-            else:
-                groups.append([c])
+        groups = [list(g) for _, g in groupby(order, key=base.__getitem__)]
         best = _least_order(matrix, groups)
     else:
         best = tuple(order)

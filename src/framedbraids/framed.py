@@ -28,6 +28,12 @@ class FramedBraid(_Record):
     __slots__ = ("n", "framings", "beta")
 
     def __init__(self, n: int, framings: tuple[int, ...], beta: BraidWord):
+        # bool is an int subclass, so test the exact type
+        if type(n) is not int:
+            raise ValueError(f"strand count must be an int, got {n!r}")
+        for f in framings:
+            if type(f) is not int:
+                raise ValueError(f"framings must be ints, got {f!r}")
         if len(framings) != n:
             raise ValueError(
                 f"framing vector has length {len(framings)}, expected {n}"

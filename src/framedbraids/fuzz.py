@@ -10,7 +10,8 @@ classical stabilization moves are negative controls: their trials pass
 exactly when the affected component's framing drifts by the crossing sign
 and nothing else changes. Plat trials use an even strand count of at least
 4 inside the configured range; a configuration that gives a plat move
-weight over a range without one is rejected. The move mix names each kind
+weight over a range without one is rejected, and so is a trial count,
+range bound or weight that is not an int. The move mix names each kind
 at most once, and a trial draws its kind in proportion to the weights, at a
 cost that does not grow with them. A failed trial's report records the
 descriptor as moves.descriptor_json writes it: its kind, each field that
@@ -62,8 +63,16 @@ class FuzzConfig(_Record):
     def __init__(self, seed: int, trials: int, n_range: tuple[int, int] = (1, 5),
                  word_length_range: tuple[int, int] = (0, 12),
                  move_mix: tuple[tuple[str, int], ...] = DEFAULT_MIX):
+        # bool is an int subclass, so test the exact type; a float would
+        # reach run_fuzz and fail there
+        if type(trials) is not int:
+            raise ValueError(f"trials must be an int, got {trials!r}")
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        for name, pair in (("n_range", n_range), ("word_length_range", word_length_range)):
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and type(pair[0]) is type(pair[1]) is int):
+                raise ValueError(f"{name} must be a pair of ints, got {pair!r}")
         if n_range[0] > n_range[1] or n_range[0] < 1:
             raise ValueError(f"bad strand range {n_range}")
         if word_length_range[0] > word_length_range[1] or word_length_range[0] < 0:
@@ -73,6 +82,8 @@ class FuzzConfig(_Record):
                 raise ValueError(f"unknown move kind {kind!r}")
             if any(kind == other for other, _ in move_mix[:i]):
                 raise ValueError(f"move kind {kind!r} is listed twice")
+            if type(weight) is not int:
+                raise ValueError(f"move_mix weights must be ints, got {weight!r} for {kind!r}")
             if weight < 0:
                 raise ValueError("move weights must be >= 0")
         if not any(w > 0 for _, w in move_mix):

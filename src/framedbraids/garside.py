@@ -163,24 +163,18 @@ def to_normal_form(a: BraidWord) -> GarsideNormalForm:
     n = a.n
     w0 = _w0(n)
     factors: list[Perm] = []
-    shifts: list[int] = []
-    for unit in a.unit_letters():
-        i = unit.index - 1
-        s_i = _swap_positions(_identity(n), i)
-        if unit.exponent > 0:
-            factors.append(s_i)
-            shifts.append(0)
-        else:
-            factors.append(_mul(w0, s_i))
-            shifts.append(-1)
-    # Carry each Delta^-1 to the front; a factor is flipped once for every
-    # Delta passing it from the right, and Delta^2 is central so only parity
-    # matters.
+    # Walk the crossings right to left, carrying each Delta^-1 to the front:
+    # a factor is flipped once for every Delta passing it from the right,
+    # that is for every negative crossing to its right, and Delta^2 is
+    # central so only the parity of that count matters.
     carried = 0
-    for k in range(len(factors) - 1, -1, -1):
-        if carried % 2 != 0:
-            factors[k] = _flip(factors[k])
-        carried += shifts[k]
+    for unit in reversed(tuple(a.unit_letters())):
+        s_i = _swap_positions(_identity(n), unit.index - 1)
+        factor = s_i if unit.exponent > 0 else _mul(w0, s_i)
+        factors.append(_flip(factor) if carried % 2 else factor)
+        if unit.exponent < 0:
+            carried -= 1
+    factors.reverse()
     shift, normal = _normalize_factors(factors, n, MAX_WORK // n - units)
     return GarsideNormalForm(
         n,

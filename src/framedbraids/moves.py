@@ -88,10 +88,9 @@ class MoveDescriptor(_Record):
         if kind not in MOVE_KINDS:
             raise ValueError(f"unknown move kind {kind!r}")
         # bool is an int subclass, so test the exact type
-        if not type(split) is type(index) is type(sign) is type(k) is int:
-            for name, value in zip(self.__slots__[1:-1], (split, index, sign, k)):
-                if type(value) is not int:
-                    raise ValueError(f"{name} must be an int, got {value!r}")
+        for name, value in zip(self.__slots__[1:-1], (split, index, sign, k)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if sign not in FIELD_VALUES["sign"]:
             raise ValueError(f"sign must be +-1, got {sign}")
         if k not in FIELD_VALUES["k"]:
@@ -100,8 +99,7 @@ class MoveDescriptor(_Record):
             raise ValueError(f"split must be >= 0, got {split}")
         if index < 1:
             raise ValueError(f"index must be >= 1, got {index}")
-        if not (isinstance(factors, tuple)
-                and (not factors or all([isinstance(f, FramedBraid) for f in factors]))):
+        if not (isinstance(factors, tuple) and all([isinstance(f, FramedBraid) for f in factors])):
             raise ValueError("factors must be a tuple of FramedBraid")
         values = (split, index, sign, k, factors)
         for i, (name, default) in _UNREAD[kind]:
@@ -111,13 +109,7 @@ class MoveDescriptor(_Record):
         if len(factors) != count:
             plural = "s" * (count > 1)
             raise ValueError(f"{kind} moves need {count} factor{plural}, got {len(factors)}")
-        set_kind, set_split, set_index, set_sign, set_k, set_factors = self._setters
-        set_kind(self, kind)
-        set_split(self, split)
-        set_index(self, index)
-        set_sign(self, sign)
-        set_k(self, k)
-        set_factors(self, factors)
+        self._store(kind, split, index, sign, k, factors)
 
 
 # kind -> (position, (name, default)) of each field after kind that it never reads

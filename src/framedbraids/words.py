@@ -67,8 +67,11 @@ class _Record:
     _setters. _fields holds every field name along the chain, and _setters
     the __set__ of each field's slot, in the same order: the record's own
     __setattr__ refuses, and the slot's __set__ stores in about 60% of the
-    time object.__setattr__ takes. The records built on every word unpack
-    _setters; _store, a loop, serves the rest."""
+    time object.__setattr__ takes. The records built on every word or every
+    signature unpack _setters: BraidWord, FramedBraid, words._word,
+    framed._framed, closure.LinkComponent, closure._Signature and
+    plat.PlatComponent. _store, a loop that costs about 0.5 us more per
+    record, serves the rest (Letter, Permutation, MoveDescriptor, ...)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -117,6 +120,10 @@ class Letter(_Record):
     def __init__(self, kind: str, index: int, exponent: int):
         if kind not in (SIGMA, TAU):
             raise ValueError(f"unknown letter kind {kind!r}")
+        # bool is an int subclass, so test the exact type
+        for name, value in (("index", index), ("exponent", exponent)):
+            if type(value) is not int:
+                raise ValueError(f"letter {name} must be an int, got {value!r}")
         if index < 1:
             raise ValueError(f"letter index must be >= 1, got {index}")
         if exponent == 0:
@@ -133,7 +140,8 @@ class Letter(_Record):
 
 @lru_cache(maxsize=256, typed=True)
 def _letter(kind: str, index: int, exponent: int) -> Letter:
-    """Letter(kind, index, exponent), built once; typed keeps 1.0 and True apart from 1."""
+    """Letter(kind, index, exponent), built once; typed keeps 1.0 and True
+    apart from 1, so they reach Letter's check instead of the cached int letter."""
     return Letter(kind, index, exponent)
 
 
@@ -159,6 +167,8 @@ class BraidWord(_Record):
     __slots__ = ("n", "letters")
 
     def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
+        if type(n) is not int:
+            raise ValueError(f"strand count must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
         # One stack pass checks and reduces: out is reduced after every

@@ -38,6 +38,28 @@ def test_config_validation():
     FuzzConfig(seed=0, trials=5, n_range=(1, 1), move_mix=(("RM", 1), ("DoubleCoset", 0)))
 
 
+@pytest.mark.parametrize("fields, message", [
+    # bool is refused as MoveDescriptor refuses it; each of these used to be
+    # accepted, and run_fuzz then died on it or echoed the bool
+    ({"trials": 2.5}, "trials must be an int, got 2.5"),
+    ({"trials": True}, "trials must be an int, got True"),
+    ({"n_range": (1.0, 4.0)}, r"n_range must be a pair of ints, got \(1.0, 4.0\)"),
+    ({"n_range": (1, True)}, r"n_range must be a pair of ints, got \(1, True\)"),
+    ({"n_range": (1, 4, 5)}, r"n_range must be a pair of ints, got \(1, 4, 5\)"),
+    ({"n_range": [1, 4]}, r"n_range must be a pair of ints, got \[1, 4\]"),
+    ({"n_range": 4}, "n_range must be a pair of ints, got 4"),
+    ({"word_length_range": (0, 3.0)},
+     r"word_length_range must be a pair of ints, got \(0, 3.0\)"),
+    ({"word_length_range": (0,)}, r"word_length_range must be a pair of ints, got \(0,\)"),
+    ({"move_mix": (("M", 1.5),)}, "move_mix weights must be ints, got 1.5 for 'M'"),
+    ({"move_mix": (("RM", 1), ("M", True))},
+     "move_mix weights must be ints, got True for 'M'"),
+])
+def test_config_refuses_what_run_fuzz_cannot_use(fields, message):
+    with pytest.raises(ValueError, match=message):
+        FuzzConfig(**{"seed": 0, "trials": 5, **fields})
+
+
 def test_default_mix_passes():
     report = run_fuzz(FuzzConfig(seed=7, trials=120))
     assert report["failed"] == 0

@@ -6,8 +6,9 @@ import pytest
 from framedbraids._canon import canonical_order
 from framedbraids.closure import closure_signature, signatures_match, with_adjusted_framing
 from framedbraids import hilden
-from framedbraids.framed import FramedBraid, multiply, normalize, spell
+from framedbraids.framed import FramedBraid, framed_equal, inverse, multiply, normalize, spell
 from framedbraids.fuzz import sample_framed_braid, sample_hilden_product
+from framedbraids.moves import MoveDescriptor, apply_move, conjugate
 from framedbraids.parser import parse
 from framedbraids.words import BraidWord, sigma, tau
 from framedbraids.plat import (
@@ -205,3 +206,38 @@ def test_the_plat_of_a_bridge_is_the_closure():
         assert plat_signature(bridge(b)).canonical_key[1:] == key, b
         linked += any(map(any, abs_linking))
     assert linked > 300  # the law sees linked closures, not only unlinks
+
+
+def lift(n, letters):
+    """g-hat in RH_2n of the word g on n ribbons, letter by letter:
+    sigma_k -> p_k and t_k -> omega_k, a homomorphism RB_n -> RH_2n."""
+    lifted = FramedBraid.identity(2 * n)
+    for letter in letters:
+        name = "p" if letter.kind == "sigma" else "omega"
+        h = hilden.builtin_generator(hilden.FRAMED_SUITE, name, letter.index, n)
+        for _ in range(abs(letter.exponent)):
+            lifted = multiply(lifted, h if letter.exponent > 0 else inverse(h))
+    return lifted
+
+
+def test_conjugations_lift_to_plat_conjugations_of_the_bridge():
+    # bridge(g^-1 b g) = g-hat^-1 bridge(b) g-hat with g-hat in the framed
+    # Hilden group, so the closure moves Conjugation and TauConjugation are
+    # the plat move DoubleCoset(g-hat^-1, g-hat) on the bridge: the paper's
+    # two theorems checked as one law, exactly.
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randint(2, 4)
+        b = sample_framed_braid(rng, n, rng.randint(0, 6))
+        if trial % 3:
+            letters = [sigma(rng.randint(1, n - 1), rng.choice((-2, -1, 1, 2)))
+                       if rng.random() < 0.5 else tau(rng.randint(1, n), rng.choice((-1, 1)))
+                       for _ in range(rng.randint(1, 3))]
+            d = MoveDescriptor("Conjugation", factors=(normalize(BraidWord(n, tuple(letters))),))
+        else:
+            i, s = rng.randint(1, n), rng.choice((-1, 1))
+            letters = [tau(i, s)]
+            d = MoveDescriptor("TauConjugation", index=i, sign=s)
+        g_hat = lift(n, letters)
+        assert is_plat_trivial(g_hat), letters
+        assert framed_equal(bridge(apply_move(b, d)), conjugate(bridge(b), g_hat)), (b, d)

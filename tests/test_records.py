@@ -150,10 +150,21 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, fields, text):
     (lambda: Letter("rho", 1, 1), "unknown letter kind 'rho'"),
     (lambda: Letter("sigma", 0, 1), "letter index must be >= 1, got 0"),
     (lambda: Letter("tau", 1, 0), "letters with exponent 0 are never stored"),
+    # every stored integer is exactly an int: bool is an int subclass, and
+    # a float used to reach the answers (a framing of 1.5)
+    (lambda: Letter("sigma", 1.0, 1), "letter index must be an int, got 1.0"),
+    (lambda: Letter("tau", True, 1), "letter index must be an int, got True"),
+    (lambda: Letter("sigma", 1, 1.5), "letter exponent must be an int, got 1.5"),
+    (lambda: Letter("tau", 1, False), "letter exponent must be an int, got False"),
+    (lambda: BraidWord(2.5, (sigma(2),)), "strand count must be an int, got 2.5"),
+    (lambda: BraidWord(True), "strand count must be an int, got True"),
     (lambda: BraidWord(0), "strand count must be >= 1, got 0"),
     (lambda: BraidWord(2, (sigma(2),)), "sigma index 2 out of range for n=2"),
     (lambda: BraidWord(2, (tau(3),)), "tau index 3 out of range for n=2"),
     (lambda: Permutation((1, 1)), "not a permutation of 1..2: (1, 1)"),
+    (lambda: FramedBraid(2.0, (0, 0), BraidWord(2)), "strand count must be an int, got 2.0"),
+    (lambda: FramedBraid(2, (0, 1.5), BraidWord(2)), "framings must be ints, got 1.5"),
+    (lambda: FramedBraid(2, (True, 0), BraidWord(2)), "framings must be ints, got True"),
     (lambda: FramedBraid(2, (0,), BraidWord(2)), "framing vector has length 1, expected 2"),
     (lambda: FramedBraid(2, (0, 0), BraidWord(3)), "braid part on 3 strands inside RB_2"),
     (lambda: FramedBraid(2, (0, 0), BraidWord(2, (tau(1),))),

@@ -45,9 +45,13 @@ def test_interned_letters_validate_and_keep_their_exponent_type():
             sigma(0)
         with pytest.raises(ValueError):
             tau(1, 0)
-    assert sigma(1, 1.0).exponent.__class__ is float
-    assert sigma(1, True).exponent is True
-    assert sigma(1).exponent.__class__ is int
+        # the memo keeps 1.0 and True apart from the cached int letter, so
+        # both reach Letter's exact-int check, every time
+        assert sigma(1).exponent.__class__ is int
+        with pytest.raises(ValueError, match="letter exponent must be an int, got 1.0"):
+            sigma(1, 1.0)
+        with pytest.raises(ValueError, match="letter exponent must be an int, got True"):
+            sigma(1, True)
     assert sigma(1, 2) == Letter("sigma", 1, 2)
 
 
