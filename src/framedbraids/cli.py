@@ -203,14 +203,12 @@ def _run(args) -> tuple[object, int]:
         r = solve_framing_transfer(Permutation(p), delta, kappa)
         return {"solvable": r is not None, "r": list(r) if r is not None else None}, 0
     if args.command == "fuzz":
+        move_mix = DEFAULT_MIX
         if args.moves is not None:
-            mix = []
+            move_mix = []
             for chunk in args.moves.split(","):
                 kind, equals, weight = chunk.partition("=")
-                mix.append((kind.strip(), signed_decimal(weight) if equals else 1))
-            move_mix = tuple(mix)
-        else:
-            move_mix = DEFAULT_MIX
+                move_mix.append((kind.strip(), signed_decimal(weight) if equals else 1))
         config = FuzzConfig(
             seed=args.seed,
             trials=args.trials,

@@ -12,7 +12,7 @@ the middles that remain once the shared prefix and suffix are cancelled.
 Every word built from letters reaches its normal form through one pass,
 _normal_form, which slides the twists and hands the sigma letters left
 behind to BraidWord, the one free reduction; so does every composition
-(multiply, inverse, moves.conjugate, DoubleCoset). Only twist conjugation,
+(multiply, inverse, moves.conjugate, TauConjugation, DoubleCoset). Only
 permutation_of and the closure and plat signatures read words.crossing_sums.
 """
 
@@ -46,7 +46,7 @@ class FramedBraid(_Record):
             raise ValueError("braid part of a normal form must be tau-free")
         set_n, set_framings, set_beta = self._setters
         set_n(self, n)
-        set_framings(self, framings)
+        set_framings(self, tuple(framings))
         set_beta(self, beta)
 
     @classmethod

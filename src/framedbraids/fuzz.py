@@ -10,14 +10,14 @@ classical stabilization moves are negative controls: their trials pass
 exactly when the affected component's framing drifts by the crossing sign
 and nothing else changes. Plat trials use an even strand count of at least
 4 inside the configured range; a configuration that gives a plat move
-weight over a range without one is rejected, and so is a trial count,
-range bound or weight that is not an int. The move mix names each kind
-at most once, and a trial draws its kind in proportion to the weights, at a
-cost that does not grow with them. A failed trial's report records the
-descriptor as moves.descriptor_json writes it: its kind, each field that
-kind reads and each factor under its name as one DSL word. That is the form
-moves.descriptor_from_json and the flags of `fbk move` read back, so the
-failure replays.
+weight over a range without one is rejected, and so is a seed, trial
+count, range bound or weight that is not an int. The move mix names each
+kind at most once, and a trial draws its kind in proportion to the
+weights, at a cost that does not grow with them. A failed trial's report
+records the descriptor as moves.descriptor_json writes it: its kind, each
+field that kind reads and each factor under its name as one DSL word.
+That is the form moves.descriptor_from_json and the flags of `fbk move`
+read back, so the failure replays.
 
 Every trial reseeds one generator from (seed, trial index) and draws as
 its randint would, so reports are byte-identical across runs with the same
@@ -63,8 +63,11 @@ class FuzzConfig(_Record):
     def __init__(self, seed: int, trials: int, n_range: tuple[int, int] = (1, 5),
                  word_length_range: tuple[int, int] = (0, 12),
                  move_mix: tuple[tuple[str, int], ...] = DEFAULT_MIX):
-        # bool is an int subclass, so test the exact type; a float would
-        # reach run_fuzz and fail there
+        # bool is an int subclass, so test the exact type; a bool or float
+        # seed would seed another stream, any other float would reach
+        # run_fuzz and fail there
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
         if type(trials) is not int:
             raise ValueError(f"trials must be an int, got {trials!r}")
         if trials < 1:
@@ -91,7 +94,8 @@ class FuzzConfig(_Record):
         lo_half, hi_half = _plat_halves(n_range)
         if lo_half > hi_half and any(k in PLAT_KINDS and w > 0 for k, w in move_mix):
             raise ValueError(f"plat moves need an even strand count >= 4 in {n_range}")
-        self._store(seed, trials, n_range, word_length_range, move_mix)
+        self._store(seed, trials, n_range, word_length_range,
+                    tuple([(kind, weight) for kind, weight in move_mix]))
 
 
 def _plat_halves(n_range: tuple[int, int]) -> tuple[int, int]:

@@ -34,9 +34,9 @@ under the sign convention fixed in the words module.
 from __future__ import annotations
 
 from . import plat
-from .framed import FramedBraid, _framed, _normal_form, _spelled_letters, normalize, spell
+from .framed import FramedBraid, _normal_form, _spelled_letters, normalize, spell
 from .parser import format_word, parse
-from .words import BraidWord, Letter, Permutation, _Record, crossing_sums, invert, sigma, tau
+from .words import BraidWord, Letter, Permutation, _Record, invert, sigma, tau
 
 RL_KINDS = ("RL_over", "RL_under")
 INT_RL_KINDS = ("IntRL_over", "IntRL_under")
@@ -307,12 +307,8 @@ def apply_move(a: FramedBraid, d: MoveDescriptor) -> FramedBraid:
             if not plat.is_plat_trivial(h):
                 raise ValueError(f"{name} does not look like a cap stabilizer element")
         return _normal_form(a.n, _spelled_letters(h1) + _spelled_letters(a) + _spelled_letters(h2))
-    # TauConjugation, the one kind left: in t_i^-s a t_i^s the last twist
-    # slides onto the strand beta leaves at i, so only two framings move.
+    # TauConjugation, the one kind left: t_i^-s a t_i^s in one letter pass.
     i, s = d.index, d.sign
     if not 1 <= i <= a.n:
         raise ValueError(f"twist index {i} out of range for n={a.n}")
-    framings = list(a.framings)
-    framings[i - 1] -= s
-    framings[crossing_sums(a.beta)[0][i] - 1] += s
-    return _framed(a.n, tuple(framings), a.beta)
+    return _normal_form(a.n, (tau(i, -s),) + _spelled_letters(a) + (tau(i, s),))

@@ -16,11 +16,8 @@ into linking numbers, exposed as absolute values because a plat closure
 carries no preferred orientation. A component's framing is the twist
 total plus the self-writhe, invariant under reversing its traversal.
 
-is_plat_trivial reads the same walk and component pair totals and stops
-there: n/2 components, every framing 0 and every linking number 0 is
-exactly what the signature would show, so it builds no component record,
-matrix or canonical order, and a walk with fewer components answers False
-before any pair total is added up.
+is_plat_trivial reads the plat signature: n/2 components, every framing 0
+and every |linking| 0.
 
 The cap tangle itself is never materialized; only the pairing rule exists.
 Like the closure signatures, PlatSignature is a necessary invariant family
@@ -58,10 +55,8 @@ class PlatSignature(_Signature):
         return self.canonical_key[2]
 
 
-def _walk(b: FramedBraid):
-    """The plat walk of b, shared by plat_signature and is_plat_trivial:
-    the strand pair totals signed by direction, each strand's component,
-    and each component's traversal and twist total, in walk order."""
+def plat_signature(b: FramedBraid) -> PlatSignature:
+    """Components, framings and |linking| of the plat closure of b."""
     if b.n % 2 != 0:
         raise ValueError(f"plat closure needs an even ribbon count, got {b.n}")
     pos2strand, pairs = crossing_sums(b.beta)
@@ -92,12 +87,6 @@ def _walk(b: FramedBraid):
     for pair in pairs:  # a crossing of strands run opposite ways flips sign
         if direction[pair[0]] != direction[pair[1]]:
             pairs[pair] = -pairs[pair]
-    return pairs, comp_of, traversals, twists
-
-
-def plat_signature(b: FramedBraid) -> PlatSignature:
-    """Components, framings and |linking| of the plat closure of b."""
-    pairs, comp_of, traversals, twists = _walk(b)
     self_writhe, linking = component_sums(pairs, comp_of, len(traversals))
     framings = [t + w for t, w in zip(twists, self_writhe)]
     order, key = _canonical(framings, {pair: abs(v) for pair, v in linking.items()})
@@ -113,20 +102,14 @@ def is_plat_trivial(b: FramedBraid) -> bool:
     """Necessary condition for the ribbon cap stabilizer: the plat closure
     is an unlink pattern of n zero-framed, pairwise unlinked components.
 
-    It reads the plat walk and the component pair totals that plat_signature
-    reads, and answers as the signature would: n/2 components, every framing
-    (twist total plus self-writhe) 0 and every linking number 0, with no
-    component record, matrix or canonical order built. The condition is not
-    sufficient, so a True here never certifies membership; a False refutes
-    it. Odd ribbon counts raise ValueError.
+    It reads plat_signature(b): n/2 components, every framing 0 and every
+    |linking| 0. The condition is not sufficient, so a True here never
+    certifies membership; a False refutes it. Odd ribbon counts raise
+    ValueError.
     """
-    pairs, comp_of, traversals, twists = _walk(b)
-    k = len(traversals)
-    if k != b.n // 2:
-        return False
-    self_writhe, linking = component_sums(pairs, comp_of, k)
-    return not any(linking.values()) and all(
-        t + w == 0 for t, w in zip(twists, self_writhe))
+    sig = plat_signature(b)
+    return (sig.component_count == b.n // 2 and not any(sig.framings())
+            and not any(map(any, sig.abs_linking)))
 
 
 def double_coset_move(b: FramedBraid, h1: FramedBraid, h2: FramedBraid) -> FramedBraid:

@@ -24,11 +24,11 @@ whose exponent cancels to 0 are dropped. That is the only normalization
 done at this layer; deciding genuine braid equality is the job of the
 garside module.
 
-crossing_sums is the one strand scan, read only by permutation_of, twist
-conjugation and the closure and plat signatures; the framed compositions
-are letter passes (framed module). A syllable s_i^e meets the same two
-strands e times, so it adds e to that pair's signed total and swaps them
-only when e is odd; tau letters are skipped.
+crossing_sums is the one strand scan, read only by permutation_of and the
+closure and plat signatures; the framed compositions are letter passes
+(framed module). A syllable s_i^e meets the same two strands e times, so
+it adds e to that pair's signed total and swaps them only when e is odd;
+tau letters are skipped.
 
 Letter, BraidWord, Permutation and the package's other value types are
 records: slotted classes on the private _Record base below. A record's
@@ -251,7 +251,7 @@ class Permutation(_Record):
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
-        self._store(images)
+        self._store(tuple(images))
 
     @property
     def n(self) -> int:

@@ -15,17 +15,18 @@ package's normal-form machinery.
   the way the package did before its single crossing scan: the permutation
   first, then the components, then a crossing scan that already knows every
   strand's component and direction.
-- plat_trivial reads plat-triviality off two_pass_plat's signature, the way
-  the package did before it decided from the plat walk and pair totals.
+- plat_trivial reads plat-triviality off two_pass_plat's signature, as the
+  package reads it off plat_signature.
 - scan_parse parses the word DSL one character at a time, the way the
   package did before its one-regex tokenizer.
 - h4_member decides membership in the Hilden subgroup H_4 of B_4 through
   an integer image in SL2(Z).
 - bridge turns a framed braid into one whose plat closure is its standard
   closure; it multiplies with the package's framed group operations.
-- scan_multiply and scan_inverse are the semidirect product and inverse the
-  way the package computed them before they became letter passes: the
-  framings read off the strand scan, the braids concatenated or inverted.
+- scan_multiply, scan_inverse and scan_tau_conjugate are the semidirect
+  product, the inverse and the twist conjugation move the way the package
+  computed them before they became letter passes: the framings read off the
+  strand scan, the braids concatenated, inverted or kept.
 - word_normalize, spelled_inverse and product_conjugate build the normal
   form, the inverse and a conjugate the way the package did before its one
   pass over a letter tuple: the mixed word freely reduced, its sigma letters
@@ -527,6 +528,15 @@ def scan_inverse(a):
     pos2strand = crossing_sums(a.beta)[0]
     return framed.FramedBraid(
         a.n, tuple([-a.framings[pos2strand[q] - 1] for q in range(1, a.n + 1)]), invert(a.beta))
+
+
+def scan_tau_conjugate(a, i, s):
+    """t_i^-s a t_i^s: the last twist slides onto the strand beta leaves at
+    i, so only two framings move."""
+    framings = list(a.framings)
+    framings[i - 1] -= s
+    framings[crossing_sums(a.beta)[0][i] - 1] += s
+    return framed.FramedBraid(a.n, tuple(framings), a.beta)
 
 
 # --- the normal form, inverse and conjugate through whole words ------------

@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from framedbraids.closure import LinkComponent, LinkSignature
-from framedbraids.framed import FramedBraid
+from framedbraids.framed import FramedBraid, framed_equal
 from framedbraids.fuzz import FuzzConfig
 from framedbraids.garside import GarsideNormalForm
 from framedbraids.hilden import GeneratorDictionary, RelationInstance, RelationReport
@@ -179,6 +179,7 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, fields, text):
     (lambda: MoveDescriptor("L_over", split=1.0), "split must be an int, got 1.0"),
     (lambda: MoveDescriptor("L_over", index=2.0), "index must be an int, got 2.0"),
     (lambda: MoveDescriptor("IntRL_over", k="1"), "k must be an int, got '1'"),
+    (lambda: FuzzConfig(True, 1), "seed must be an int, got True"),
     (lambda: FuzzConfig(0, 0), "trials must be >= 1"),
     (lambda: FuzzConfig(0, 1, n_range=(3, 2)), "bad strand range (3, 2)"),
     (lambda: FuzzConfig(0, 1, n_range=(0, 2)), "bad strand range (0, 2)"),
@@ -197,3 +198,15 @@ def test_constructor_refusals_keep_their_messages(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_list_inputs_are_stored_as_tuples():
+    pairs = [
+        (FramedBraid(2, [1, 0], BraidWord(2)), FramedBraid(2, (1, 0), BraidWord(2))),
+        (Permutation([2, 1]), Permutation((2, 1))),
+        (FuzzConfig(0, 2, move_mix=[["RM", 1]]), FuzzConfig(0, 2, move_mix=(("RM", 1),))),
+    ]
+    for from_list, from_tuple in pairs:
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+    assert framed_equal(*pairs[0])

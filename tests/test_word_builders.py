@@ -3,9 +3,9 @@ the package spells as one letter tuple normalized once agrees with the same
 object built from crossing runs and product chains; the one letter pass,
 the inverse and twist conjugation agree with the normal form, inverse and
 conjugate built through whole words; and multiply, inverse, conjugate and
-the double coset move agree with the strand-scan formulas they replaced
-(tests/oracles.py). parse, BraidWord and the letter pass refuse the same
-words, at the same letter."""
+the twist conjugation and double coset moves agree with the strand-scan
+formulas they replaced (tests/oracles.py). parse, BraidWord and the letter
+pass refuse the same words, at the same letter."""
 
 import random
 
@@ -26,6 +26,7 @@ from oracles import (
     run_l_move_letters,
     scan_inverse,
     scan_multiply,
+    scan_tau_conjugate,
     spelled_inverse,
     word_normalize,
 )
@@ -199,6 +200,9 @@ def test_compositions_match_the_strand_scan_formulas():
         assert multiply(a, b) == scan_multiply(a, b), (a, b)
         assert inverse(a) == scan_inverse(a), a
         assert moves.conjugate(a, g) == scan_multiply(scan_multiply(scan_inverse(g), a), g)
+        i, s = rng.randint(1, n), rng.choice((-1, 1))
+        twisted = moves.apply_move(a, moves.MoveDescriptor("TauConjugation", index=i, sign=s))
+        assert twisted == scan_tau_conjugate(a, i, s), (a, i, s)
         half = rng.randint(1, 4)
         a = sample_framed_braid(rng, 2 * half, rng.randint(0, 20))
         h1, h2 = sample_hilden_product(rng, half, 4), sample_hilden_product(rng, half, 4)
