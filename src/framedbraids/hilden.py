@@ -27,8 +27,9 @@ for an inverse ("P_1 S_2 S_1", "omega_2^-1 theta_2"). One helper, _rel,
 reads them into words over generator names. A relation id spells each pair
 generator as its sides do, indices sorted (p_{1,3}, never p_{3,1}). Each
 relation is instantiated exhaustively over the valid index combinations at
-a fixed n and decided by the exact word problem. A missing dictionary entry
-yields a skipped report, never a silent pass.
+a fixed n and decided by the exact word problem. Each family emits each
+relation once, so a suite is the plain concatenation of its families. A
+missing dictionary entry yields a skipped report, never a silent pass.
 """
 
 from __future__ import annotations
@@ -76,9 +77,15 @@ def top_index(name: str, n: int) -> int:
     return n + GENERATORS[name][0]
 
 
+def _known_suite(suite: str) -> str:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    return suite
+
+
 def builtin_generator(suite: str, name: str, i: int, n: int) -> FramedBraid:
     """The built-in generator name_i of the suite's group inside RB_2n."""
-    if name not in SUITE_GENERATORS[suite]:
+    if name not in SUITE_GENERATORS[_known_suite(suite)]:
         raise ValueError(f"unknown {suite} generator {name!r}")
     if not 1 <= i <= top_index(name, n):
         raise ValueError(f"{name}_{i} needs 1 <= i <= {top_index(name, n)}")
@@ -115,9 +122,11 @@ def canonical_name(name: str) -> str:
     return name
 
 
-class GeneratorDictionary:
-    """Named framed braids in RB_2n feeding the relation verifier. Unlike
-    the records it is mutable, so it is equal by value but unhashable."""
+class GeneratorDictionary(_Record):
+    """Named framed braids in RB_2n feeding the relation verifier. Its entries
+    are a dict, so it is equal by value but unhashable."""
+
+    __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: dict[str, FramedBraid]):
         spelled: dict[str, str] = {}  # canonical name -> the key spelling it
@@ -125,28 +134,18 @@ class GeneratorDictionary:
             name = canonical_name(key)
             if spelled.setdefault(name, key) != key:
                 raise ValueError(f"names {spelled[name]!r} and {key!r} both mean {name!r}")
-        self.n = n
-        self.entries = {name: entries[key] for name, key in spelled.items()}
-        for name, value in self.entries.items():
+        canonical = {name: entries[key] for name, key in spelled.items()}
+        for name, value in canonical.items():
             if value.n != 2 * n:
-                raise ValueError(
-                    f"entry {name!r} lives in RB_{value.n}, expected RB_{2 * n}"
-                )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.entries) == (other.n, other.entries)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(n={self.n!r}, entries={self.entries!r})"
+                raise ValueError(f"entry {name!r} lives in RB_{value.n}, expected RB_{2 * n}")
+        self._store(n, canonical)
 
     @classmethod
     def builtin(cls, suite: str, n: int) -> GeneratorDictionary:
         """Every built-in generator name_i of the suite at half strand count n."""
         return cls(n, {
             f"{name}_{i}": builtin_generator(suite, name, i, n)
-            for name in SUITE_GENERATORS[suite]
+            for name in SUITE_GENERATORS[_known_suite(suite)]
             for i in range(1, top_index(name, n) + 1)
         })
 
@@ -321,7 +320,8 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
                 for l in range(1, n + 1):
                     if _rotation((i, j, k, l)) is None:
                         continue
-                    for a, b in kind_pairs:
+                    # (k, l, i, j) with the kinds swapped gives the same sides
+                    for a, b in kind_pairs if i < k else ():
                         x, y = _pair(a, i, j), _pair(b, k, l)
                         yield _comm(f"PFH.far-comm[{x},{y}]", x, y)
                     p = _pair("p", j, k)
@@ -360,27 +360,19 @@ def _pure_family(n: int) -> Iterator[RelationInstance]:
 
 
 def suite_instances(suite: str, n: int) -> tuple[RelationInstance, ...]:
-    """All relation instances of a suite at half strand count n, deduplicated."""
-    if suite == CLASSICAL_SUITE:
-        instances = list(_hilden_family(n, "P", "S", "Theta", "H1"))
-    elif suite == FRAMED_SUITE:
-        instances = list(_hilden_family(n, "p", "s", "theta", "FH"))
-        instances.extend(_omega_family(n))
-    elif suite == PURE_SUITE:
-        instances = list(_pure_family(n))
-    else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    unique: dict[frozenset[Word], RelationInstance] = {}
-    for inst in instances:
-        unique.setdefault(frozenset((inst.lhs, inst.rhs)), inst)
-    return tuple(unique.values())
+    """All relation instances of a suite at half strand count n, each once."""
+    if _known_suite(suite) == CLASSICAL_SUITE:
+        return tuple(_hilden_family(n, "P", "S", "Theta", "H1"))
+    if suite == FRAMED_SUITE:
+        return (*_hilden_family(n, "p", "s", "theta", "FH"), *_omega_family(n))
+    return tuple(_pure_family(n))
 
 
 def _evaluate(word: Word, dictionary: GeneratorDictionary) -> FramedBraid:
     letters: list[Letter] = []
     for name, exp in word:
         entry = dictionary.entries[name]
-        letters += _spelled_letters(inverse(entry) if exp < 0 else entry) * abs(exp)
+        letters += _spelled_letters(inverse(entry) if exp < 0 else entry)
     return _normal_form(2 * dictionary.n, letters)
 
 

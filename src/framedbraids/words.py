@@ -35,15 +35,15 @@ records: slotted classes on the private _Record base below. A record's
 constructor validates its arguments (ValueError) and stores them once. It
 then guarantees: its fields never change (assigning or deleting one raises
 AttributeError); two records are equal exactly when they have the same type
-and equal fields, and equal records hash alike; repr shows every field by
+and equal fields, and equal records hash alike (hilden.GeneratorDictionary
+holds a dict, so hashing it raises TypeError); repr shows every field by
 name; copy, deepcopy and pickle rebuild it through its constructor. A
 record may extend another: the subclass's own fields follow its base's in
 the constructor, repr, equality, hash and pickle, and a record still equals
 only records of its exact type (plat.PlatComponent is closure.LinkComponent
 plus its traversal). _word here and framed._framed build a BraidWord and a
 FramedBraid without their constructors' checks, for parts already reduced
-and in range. The one mutable value type, hilden.GeneratorDictionary, is a
-plain class.
+and in range.
 
 Letters are interned: sigma, tau, Letter.inverse, free reduction and
 unit_letters take them from one 256-entry memo, and the parser keeps its

@@ -174,6 +174,8 @@ def test_plat_stabilization_moves(args, stdout):
     (["--n", "4", "--kind", "DoubleCoset", "--conjugator", "s2", "s2"],
      "DoubleCoset moves do not use conjugator"),
     (["--n", "2", "--kind", "RM", "--conjugator", "s1", "s1"], "RM moves do not use conjugator"),
+    (["--n", "3", "--kind", "L_over", "--index", "5", "s1"],
+     "L-move position 5 out of range for n=3"),
 ])
 def test_plat_move_refusals_exit_two(args, message):
     proc = run_cli("move", *args)

@@ -86,6 +86,8 @@ def test_multiply_mismatch():
         multiply(two, three)
     with pytest.raises(ValueError, match=r"^cannot multiply elements of RB_3 and RB_2$"):
         multiply(three, two)
+    with pytest.raises(ValueError, match=r"^cannot compare elements of RB_2 and RB_3$"):
+        framed_equal(two, three)
 
 
 def test_spell_round_trip():

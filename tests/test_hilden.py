@@ -20,6 +20,8 @@ from framedbraids.hilden import (
     top_index,
     verify_relation_suite,
 )
+from framedbraids.hilden import _hilden_family, _omega_family, _pure_family
+from framedbraids.cli import MAX_HILDEN_N
 from framedbraids.parser import parse
 from framedbraids.words import Permutation, exponent_sum, permutation_of
 from framedbraids.framed import spell
@@ -175,12 +177,39 @@ def test_conjugated_suite_holds_and_catches_a_corrupted_entry(suite, builder, na
         ), word
 
 
-def test_suite_instances_deduplicated():
-    seen = set()
-    for inst in suite_instances(CLASSICAL_SUITE, 5):
-        key = frozenset((inst.lhs, inst.rhs))
-        assert key not in seen
-        seen.add(key)
+# suite -> its relation families, in the order suite_instances joins them
+FAMILIES = {
+    CLASSICAL_SUITE: lambda n: [*_hilden_family(n, "P", "S", "Theta", "H1")],
+    FRAMED_SUITE: lambda n: [*_hilden_family(n, "p", "s", "theta", "FH"), *_omega_family(n)],
+    PURE_SUITE: lambda n: [*_pure_family(n)],
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_each_family_emits_each_relation_once(suite):
+    # suite_instances keeps no dedupe of its own, so a relation a family
+    # emits twice would be decided twice
+    for n in range(1, MAX_HILDEN_N + 1):
+        instances = FAMILIES[suite](n)
+        sides = [frozenset((inst.lhs, inst.rhs)) for inst in instances]
+        assert len(set(sides)) == len(sides), (suite, n)
+        # _evaluate reads each atom as one factor
+        assert all(abs(e) == 1 for inst in instances for _, e in inst.lhs + inst.rhs)
+        assert tuple(instances) == suite_instances(suite, n)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: suite_instances("bogus", 2), f"unknown suite 'bogus'; choose from {SUITES}"),
+    (lambda: GeneratorDictionary.builtin("bogus", 2),
+     f"unknown suite 'bogus'; choose from {SUITES}"),
+    (lambda: builtin_generator("bogus", "P", 1, 2),
+     f"unknown suite 'bogus'; choose from {SUITES}"),
+    (lambda: hilden_generator("omega", 1, 2), "unknown hilden_1 generator 'omega'"),
+], ids=["suite_instances", "builtin", "builtin_generator", "hilden_generator"])
+def test_unknown_suites_and_generators_are_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n", range(2, 7))

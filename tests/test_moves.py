@@ -72,6 +72,25 @@ def test_inclusion_edge_cases():
     assert not over_inclusion(BraidWord(3), 2).letters
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: over_inclusion(parse("s1", 2), 0), "insertion position 0 out of range for n=2"),
+    (lambda: over_inclusion(parse("s1", 2), 4), "insertion position 4 out of range for n=2"),
+    (lambda: under_inclusion(parse("s1", 2), 0), "insertion position 0 out of range for n=2"),
+    (lambda: under_inclusion(parse("s1", 2), 4), "insertion position 4 out of range for n=2"),
+    (lambda: tau_conjugation_as_RL_sequence(FramedBraid.identity(2), 1, 2),
+     "exp must be +-1, got 2"),
+    (lambda: tau_conjugation_as_RL_sequence(FramedBraid.identity(2), 0, 1),
+     "twist index 0 out of range for n=2"),
+    (lambda: tau_conjugation_as_RL_sequence(FramedBraid.identity(2), 3, 1),
+     "twist index 3 out of range for n=2"),
+], ids=["over-0", "over-n+2", "under-0", "under-n+2", "tau-exp-2", "tau-index-0",
+        "tau-index-n+1"])
+def test_inclusions_and_the_tau_chain_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def _crossing_positions(word: BraidWord, n_plus: int, new_top: int):
     """Yield (letter sign, over_entrant, under_entrant) for unit crossings."""
     pos2strand = list(range(n_plus + 1))

@@ -77,8 +77,9 @@ def test_relation_sides_match_the_product_of_their_entries():
         for n in (1, 1, 2, 2, 3, 3, 4, 4):
             dictionary = _conjugated_dictionary(rng, suite, n)
             for inst in hilden.suite_instances(suite, n):
-                # the third side adds a power below -1
-                for side in (inst.lhs, inst.rhs, inst.lhs + ((inst.lhs[0][0], -2),)):
+                # the third side adds an inverse squared, spelled as sides
+                # spell powers: one +-1 atom per factor
+                for side in (inst.lhs, inst.rhs, inst.lhs + ((inst.lhs[0][0], -1),) * 2):
                     assert hilden._evaluate(side, dictionary) == product_evaluate(side, dictionary)
                     sides += 1
     assert sides >= DRAWS
