@@ -34,6 +34,11 @@ from framedbraids.words import BraidWord, sigma, tau
 
 FUZZ_TRIALS = 100
 ALL_KINDS_MIX = tuple((kind, 1) for kind in ALL_KINDS)
+# The other mixes draw Hilden factors at halves 2-3 only; this one draws
+# them at halves 4-32. A passing report keeps no factor, so it is pinned
+# by its trials alone.
+WIDE_PLAT_MIX = tuple((kind, 1) for kind in PLAT_KINDS)
+TRIAL_SEEDS = {"default": range(10), "all_kinds": range(10), "wide_plat": range(3)}
 
 CLI_CASES = {
     "nf-documented": ("nf", "--n", "2", "s1^-1 t1 s1^2"),
@@ -106,6 +111,8 @@ def _sha(text: str) -> str:
 def _fuzz_config(mix_name: str, seed: int) -> FuzzConfig:
     if mix_name == "default":
         return FuzzConfig(seed=seed, trials=FUZZ_TRIALS)
+    if mix_name == "wide_plat":
+        return FuzzConfig(seed=seed, trials=FUZZ_TRIALS, n_range=(8, 64), move_mix=WIDE_PLAT_MIX)
     return FuzzConfig(seed=seed, trials=FUZZ_TRIALS, n_range=(1, 7), move_mix=ALL_KINDS_MIX)
 
 
@@ -114,7 +121,7 @@ def fuzz_digest(mix_name: str, seed: int) -> str:
 
 
 def trial_digest(mix_name: str, monkeypatch) -> str:
-    """Every trial of seeds 0-9, not only the verdict counts a report keeps:
+    """Every trial of the mix's seeds, not only the verdict counts a report keeps:
     each trial's kind, strand count, framings, word, descriptor and verdict."""
     out = []
     trial = fuzz._trial
@@ -127,7 +134,7 @@ def trial_digest(mix_name: str, monkeypatch) -> str:
         return ok, detail
 
     monkeypatch.setattr(fuzz, "_trial", recording)
-    for seed in range(10):
+    for seed in TRIAL_SEEDS[mix_name]:
         run_fuzz(_fuzz_config(mix_name, seed))
     return _sha("\n".join(out))
 
@@ -255,6 +262,7 @@ FUZZ_GOLDEN = {
 TRIAL_GOLDEN = {
     'default': 'fa99e5fd89b360ad22b079ea2ec9e61bcfbb0e51ce2bdbf47c363180a86d8dd8',
     'all_kinds': '8f1e9ecd95588a03bd4ec4ddabfad88b01c38dabd7d1bd8c138921b4affadc00',
+    'wide_plat': '1d7e93978a27eddfa462b62528add79d804a35041d501488350095b93a3f7dfd',
 }
 
 CLI_GOLDEN = {
@@ -365,7 +373,7 @@ def test_fuzz_reports_unchanged(mix_name):
     assert got == FUZZ_GOLDEN[mix_name]
 
 
-@pytest.mark.parametrize("mix_name", ["default", "all_kinds"])
+@pytest.mark.parametrize("mix_name", TRIAL_SEEDS)
 def test_fuzz_trials_unchanged(mix_name, monkeypatch):
     assert trial_digest(mix_name, monkeypatch) == TRIAL_GOLDEN[mix_name]
 
@@ -399,7 +407,7 @@ if __name__ == "__main__":
             print(f"        {seed}: {fuzz_digest(mix, seed)!r},")
         print("    },")
     print("}\n\nTRIAL_GOLDEN = {")
-    for mix in ("default", "all_kinds"):
+    for mix in TRIAL_SEEDS:
         with pytest.MonkeyPatch.context() as patch:
             print(f"    {mix!r}: {trial_digest(mix, patch)!r},")
     print("}\n\nCLI_GOLDEN = {")
