@@ -61,7 +61,7 @@ def canonical_order(
     of components.
     """
     k = len(framings)
-    if k < 2 or not any(map(any, matrix)):
+    if not any(map(any, matrix)):
         return unlinked_order(framings)
     base: list[BaseKey] = []
     for c, row in enumerate(matrix):

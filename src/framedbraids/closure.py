@@ -32,7 +32,7 @@ here use them only in that sound direction.
 from __future__ import annotations
 
 from ._canon import canonical_order, unlinked_order
-from .framed import FramedBraid, spell
+from .framed import FramedBraid
 from .words import _Record, crossing_sums, exponent_sum
 
 BLACKBOARD = "blackboard"
@@ -139,18 +139,18 @@ def _canonical(framings: list[int], entries: dict[tuple[int, int], int]) -> tupl
 
 
 def knot_framing(a: FramedBraid) -> int:
-    """Framing of a one-component closure: the spelled exponent sum.
+    """Framing of a one-component closure: the twist total plus the
+    exponent sum of beta, which is the exponent sum of the spelled word.
 
-    For a knot every crossing is a self-crossing, so the exponent sum of
-    the spelled word equals twist total plus writhe; the cross-check below
-    guards the bookkeeping.
+    For a knot every crossing is a self-crossing, so that sum equals twist
+    total plus writhe; the cross-check below guards the bookkeeping.
     """
     sig = closure_signature(a)
     if sig.component_count != 1:
         raise ValueError(
             f"closure has {sig.component_count} components, not a knot"
         )
-    total = exponent_sum(spell(a))
+    total = sum(a.framings) + exponent_sum(a.beta)
     if total != sig.components[0].framing:
         raise RuntimeError(
             "exponent sum differs from the closure framing; closure scan is buggy"

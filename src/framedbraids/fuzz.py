@@ -42,7 +42,7 @@ from .closure import (
     signatures_match,
     with_adjusted_framing,
 )
-from .framed import FramedBraid, _framed, _normal_form, _spelled_letters, inverse
+from .framed import FramedBraid, _framed, _normal_form
 from .moves import (FACTOR_NAMES, FIELD_VALUES, FIELDS_READ, INT_RL_KINDS, L_FAMILY_KINDS,
                     MOVE_KINDS, PLAT_KINDS, MoveDescriptor, apply_move, descriptor_json,
                     tau_conjugation_as_RL_sequence)
@@ -128,28 +128,28 @@ def sample_framed_braid(rng: random.Random, n: int, length: int) -> FramedBraid:
     return _framed(n, framings, BraidWord(n, tuple(letters)))
 
 
-_Spelled = tuple[Letter, ...]  # the letters of spell(g)
+_Letters = tuple[Letter, ...]
 
 
 @lru_cache(maxsize=64)
-def _hilden_letters(half: int) -> tuple[tuple[tuple[_Spelled, _Spelled], ...], ...]:
+def _hilden_letters(half: int) -> tuple[tuple[tuple[_Letters, _Letters], ...], ...]:
     """Per framed Hilden name that exists in RB_2half, in table order, the
-    spelled letters of name_i and of its inverse for each index i; tuples,
-    as the memo hands the same value to every caller."""
+    letters of name_i, its hilden.GENERATORS row, and that row reversed and
+    inverted, for each index i; tuples, as the memo hands the same value to
+    every caller."""
     out = []
     for name in hilden.SUITE_GENERATORS[hilden.FRAMED_SUITE]:
-        generators = [hilden.framed_hilden_generator(name, i, half)
-                      for i in range(1, hilden.top_index(name, half) + 1)]
-        if generators:
-            out.append(tuple([(_spelled_letters(g), _spelled_letters(inverse(g)))
-                              for g in generators]))
+        rows = [hilden.GENERATORS[name][1](i) for i in range(1, hilden.top_index(name, half) + 1)]
+        if rows:
+            out.append(tuple([(row, tuple([letter.inverse() for letter in reversed(row)]))
+                              for row in rows]))
     return tuple(out)
 
 
 def sample_hilden_product(rng: random.Random, half: int, max_factors: int) -> FramedBraid:
     """A short product of built-in framed Hilden generators and inverses.
     Each factor draws its name, index and side alike from a memo of the
-    spelled generators: a choice draws on the length of its list alone."""
+    generators' letters: a choice draws on the length of its list alone."""
     names = _hilden_letters(half)
     letters: list[Letter] = []
     for _ in range(_randint(rng, 0, max_factors)):

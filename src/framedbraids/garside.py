@@ -166,14 +166,18 @@ def to_normal_form(a: BraidWord) -> GarsideNormalForm:
     # Walk the crossings right to left, carrying each Delta^-1 to the front:
     # a factor is flipped once for every Delta passing it from the right,
     # that is for every negative crossing to its right, and Delta^2 is
-    # central so only the parity of that count matters.
+    # central so only the parity of that count matters. The crossings of
+    # one syllable share their factor, built once with its flip.
     carried = 0
-    for unit in reversed(tuple(a.unit_letters())):
-        s_i = _swap_positions(_identity(n), unit.index - 1)
-        factor = s_i if unit.exponent > 0 else _mul(w0, s_i)
-        factors.append(_flip(factor) if carried % 2 else factor)
-        if unit.exponent < 0:
-            carried -= 1
+    for letter in reversed(a.letters):
+        e = letter.exponent
+        s_i = _swap_positions(_identity(n), letter.index - 1)
+        factor = s_i if e > 0 else _mul(w0, s_i)
+        by_parity = (factor, _flip(factor))
+        for _ in range(abs(e)):
+            factors.append(by_parity[carried % 2])
+            if e < 0:
+                carried -= 1
     factors.reverse()
     shift, normal = _normalize_factors(factors, n, MAX_WORK // n - units)
     return GarsideNormalForm(

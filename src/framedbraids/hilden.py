@@ -37,10 +37,10 @@ from __future__ import annotations
 import unicodedata
 from typing import Callable, Iterator
 
-from .framed import FramedBraid, _normal_form, _spelled_letters, framed_equal, inverse
+from .framed import FramedBraid, _normal_form, _spelled_letters, framed_equal, spell
 from .parser import signed_decimal
 from .plat import is_plat_trivial as plat_trivializes
-from .words import Letter, _Record, sigma, tau
+from .words import Letter, _Record, invert, sigma, tau
 
 Atom = tuple[str, int]
 Word = tuple[Atom, ...]
@@ -369,10 +369,12 @@ def suite_instances(suite: str, n: int) -> tuple[RelationInstance, ...]:
 
 
 def _evaluate(word: Word, dictionary: GeneratorDictionary) -> FramedBraid:
+    """The product of the word's atoms in one letter pass: an entry's
+    spelled letters, or for an inverse atom those letters inverted."""
     letters: list[Letter] = []
     for name, exp in word:
         entry = dictionary.entries[name]
-        letters += _spelled_letters(inverse(entry) if exp < 0 else entry)
+        letters += invert(spell(entry)).letters if exp < 0 else _spelled_letters(entry)
     return _normal_form(2 * dictionary.n, letters)
 
 

@@ -45,9 +45,8 @@ plus its traversal). _word here and framed._framed build a BraidWord and a
 FramedBraid without their constructors' checks, for parts already reduced
 and in range.
 
-Letters are interned: sigma, tau, Letter.inverse, free reduction and
-unit_letters take them from one 256-entry memo, and the parser keeps its
-own.
+Letters are interned: sigma, tau, Letter.inverse and free reduction take
+them from one 256-entry memo, and the parser keeps its own.
 Identity is not part of the contract: compare letters with ==, never is.
 """
 
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Iterator
 
 SIGMA = "sigma"
 TAU = "tau"
@@ -133,10 +131,6 @@ class Letter(_Record):
     def inverse(self) -> Letter:
         return _letter(self.kind, self.index, -self.exponent)
 
-    @property
-    def sign(self) -> int:
-        return 1 if self.exponent > 0 else -1
-
 
 @lru_cache(maxsize=256, typed=True)
 def _letter(kind: str, index: int, exponent: int) -> Letter:
@@ -194,13 +188,6 @@ class BraidWord(_Record):
         set_n, set_letters = self._setters
         set_n(self, n)
         set_letters(self, tuple(out))
-
-    def unit_letters(self) -> Iterator[Letter]:
-        """Expand run-length syllables into unit (exponent +-1) letters."""
-        for letter in self.letters:
-            unit = _letter(letter.kind, letter.index, letter.sign)
-            for _ in range(abs(letter.exponent)):
-                yield unit
 
     def has_tau(self) -> bool:
         for letter in self.letters:

@@ -6,10 +6,11 @@ trials. fuzz binds apply_move at import, so the mutants are patched into
 framedbraids.fuzz, not framedbraids.moves. The same configurations pass
 with the true applier, so each failure is the mutant's.
 
-Two mutants are not here because the harness cannot see them: an IntRL
-move without its t_(i+1)^k ... t_(i+1)^-k wrap, and Conjugation by g^-1 in
-place of g. Each changes the braid only by a conjugation, which no closure
-signature sees.
+Two mutants the harness cannot see: an IntRL move without its
+t_(i+1)^k ... t_(i+1)^-k wrap, and Conjugation by g^-1 in place of g. Each
+changes the braid only by a conjugation, which no closure signature sees.
+Laws on the moved element itself catch them instead, over fuzz-shaped
+draws: the same draws pass every law with the true applier.
 """
 
 import random
@@ -17,9 +18,11 @@ import random
 import pytest
 
 from framedbraids import fuzz
-from framedbraids.framed import _normal_form, _spelled_letters
+from framedbraids.framed import (_normal_form, _spelled_letters, framed_equal, inverse,
+                                multiply)
 from framedbraids.fuzz import FuzzConfig, run_fuzz
-from framedbraids.moves import RL_KINDS, MoveDescriptor, _drag, apply_move
+from framedbraids.moves import (FACTOR_NAMES, FIELDS_READ, INT_RL_KINDS, RL_KINDS,
+                                MoveDescriptor, _drag, apply_move)
 from framedbraids.words import sigma, tau
 
 
@@ -86,3 +89,65 @@ def test_run_fuzz_catches_the_mutant(name, monkeypatch):
     report = run_fuzz(_config(kinds))
     assert report["failed"] > 0, name
     assert report["first_failure"]["descriptor"]["kind"] in kinds
+
+
+def _int_rl_law(a, d, apply):
+    """IntRL with k = +-1 is IntRL with k = 0, then conjugation by t_(index+1)^k."""
+    plain = apply(a, d._replace(k=0))
+    twist = MoveDescriptor("TauConjugation", index=d.index + 1, sign=-d.k)
+    return apply(a, d) == apply(plain, twist)
+
+
+def _conjugation_law(a, d, apply):
+    """The moved element is g^-1 a g: g times it is a times g."""
+    g, = d.factors
+    return framed_equal(multiply(g, apply(a, d)), multiply(a, g))
+
+
+# name -> (the kinds it breaks, the broken applier of those kinds, the law
+# on the moved element that sees it)
+LAW_MUTANTS = {
+    "IntRL without its wrap": (
+        INT_RL_KINDS, lambda a, d: apply_move(a, d._replace(k=0)), _int_rl_law),
+    "Conjugation by g^-1": (
+        ("Conjugation",),
+        lambda a, d: apply_move(a, d._replace(factors=(inverse(d.factors[0]),))),
+        _conjugation_law),
+}
+LAW_DRAWS = 200
+LAW_CONFIG = FuzzConfig(seed=0, trials=1)
+
+
+def _law_draws(kinds, seed):
+    """Braids and descriptors of the kinds as fuzz draws them, n = 1-5;
+    an IntRL draw's k is +-1, as the law needs a twist to conjugate by."""
+    rng = random.Random(seed)
+    for _ in range(LAW_DRAWS):
+        kind = rng.choice(kinds)
+        n = rng.randint(1, 5)
+        a = fuzz.sample_framed_braid(rng, n, rng.randint(0, 12))
+        fields = {name: fuzz._draw(name, rng, a, LAW_CONFIG)
+                  for name in FIELDS_READ[kind] if name != "factors"}
+        if kind in INT_RL_KINDS:
+            fields["k"] = rng.choice((-1, 1))
+        factors = tuple([fuzz._draw(name, rng, a, LAW_CONFIG)
+                         for name in FACTOR_NAMES.get(kind, ())])
+        yield a, MoveDescriptor(kind, factors=factors, **fields)
+
+
+@pytest.mark.parametrize("name", LAW_MUTANTS)
+def test_the_true_moves_keep_the_moved_element_laws(name):
+    kinds, _, law = LAW_MUTANTS[name]
+    for a, d in _law_draws(kinds, name):
+        assert law(a, d, apply_move), (a, d)
+
+
+@pytest.mark.parametrize("name", LAW_MUTANTS)
+def test_the_moved_element_laws_catch_the_mutant(name):
+    kinds, broken, law = LAW_MUTANTS[name]
+
+    def mutant(a, d):
+        return broken(a, d) if d.kind in kinds else apply_move(a, d)
+
+    caught = sum(not law(a, d, mutant) for a, d in _law_draws(kinds, name))
+    assert caught > 0, name

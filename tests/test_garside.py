@@ -38,8 +38,14 @@ def half_twist(n: int) -> BraidWord:
     return BraidWord(n, tuple(sigma(i) for k in range(1, n) for i in range(k, 0, -1)))
 
 
+def unit_letters(word: BraidWord) -> tuple:
+    """The sigma syllables of word expanded into unit (exponent +-1) letters."""
+    return tuple(sigma(x.index, 1 if x.exponent > 0 else -1)
+                 for x in word.letters for _ in range(abs(x.exponent)))
+
+
 def as_signed(word: BraidWord) -> tuple[int, ...]:
-    return tuple(u.index * u.exponent for u in word.unit_letters())
+    return tuple(u.index * u.exponent for u in unit_letters(word))
 
 
 def test_artin_relations():
@@ -167,7 +173,7 @@ def _middles(rng: random.Random, n: int, kind: int) -> tuple[BraidWord, BraidWor
     x = random_word(rng, n, rng.randint(1, 8))
     if not x.letters:
         x = BraidWord(n, (sigma(i),))
-    units = tuple(x.unit_letters())
+    units = unit_letters(x)
     cut = rng.randint(0, len(units))
     u, v = units[:cut], units[cut:]
     if kind == 0:

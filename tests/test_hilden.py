@@ -7,6 +7,7 @@ from framedbraids.framed import FramedBraid, framed_equal, inverse, multiply, no
 from framedbraids.hilden import (
     CLASSICAL_SUITE,
     FRAMED_SUITE,
+    GENERATORS,
     PURE_SUITE,
     SUITE_GENERATORS,
     SUITES,
@@ -59,6 +60,20 @@ def test_pure_generator_words():
     assert g.framings == (1, 1, 0, 0) and g.beta == parse("s1^2", 4)
     assert permutation_of(g.beta) == Permutation((1, 2, 3, 4))
     assert exponent_sum(spell(g)) == 4
+
+
+def test_every_builtin_generator_spells_its_table_row():
+    # fuzz samples Hilden factors from the rows as they stand, and their
+    # inverses from the rows reversed and inverted
+    checked = 0
+    for suite in SUITES:
+        for n in range(1, 9):
+            for name in SUITE_GENERATORS[suite]:
+                for i in range(1, top_index(name, n) + 1):
+                    spelled = spell(builtin_generator(suite, name, i, n)).letters
+                    assert spelled == GENERATORS[name][1](i), (suite, name, i, n)
+                    checked += 1
+    assert checked == 292
 
 
 def test_canonical_name():

@@ -94,15 +94,16 @@ def test_inclusions_and_the_tau_chain_refuse_out_of_range_arguments(call, messag
 def _crossing_positions(word: BraidWord, n_plus: int, new_top: int):
     """Yield (letter sign, over_entrant, under_entrant) for unit crossings."""
     pos2strand = list(range(n_plus + 1))
-    for unit in word.unit_letters():
-        if unit.kind != "sigma":
+    for letter in word.letters:
+        if letter.kind != "sigma":
             continue
-        i = unit.index
-        lower, upper = pos2strand[i], pos2strand[i + 1]
-        over = upper if unit.exponent > 0 else lower
-        under = lower if unit.exponent > 0 else upper
-        yield over, under
-        pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
+        i = letter.index
+        for _ in range(abs(letter.exponent)):
+            lower, upper = pos2strand[i], pos2strand[i + 1]
+            over = upper if letter.exponent > 0 else lower
+            under = lower if letter.exponent > 0 else upper
+            yield over, under
+            pos2strand[i], pos2strand[i + 1] = pos2strand[i + 1], pos2strand[i]
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])

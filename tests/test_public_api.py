@@ -56,6 +56,8 @@ def test_exports_are_pinned():
     (garside, "_reduced_word"),
     (garside.GarsideNormalForm, "to_word"),
     (framed, "include_natural"),          # words.include_natural on the beta field
+    (words.BraidWord, "unit_letters"),    # garside walks the syllables
+    (words.Letter, "sign"),               # the sign of letter.exponent
 ])
 def test_alias_is_gone(owner, name):
     assert name not in vars(owner)
