@@ -42,9 +42,9 @@ process 0.44-0.66 s with its bytecode cached.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import groupby
 from operator import itemgetter
-from typing import Sequence
 
 BaseKey = tuple[int, tuple[int, ...]]
 

@@ -34,8 +34,7 @@ missing dictionary entry yields a skipped report, never a silent pass.
 
 from __future__ import annotations
 
-import unicodedata
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .framed import FramedBraid, _normal_form, _spelled_letters, framed_equal, spell
 from .parser import signed_decimal
@@ -102,16 +101,14 @@ def framed_hilden_generator(name: str, i: int, n: int) -> FramedBraid:
     return builtin_generator(FRAMED_SUITE, name, i, n)
 
 
-_NAME_ALIASES = {"θ": "theta", "Θ": "Theta", "ω": "omega", "Ω": "omega"}
+_NAME_ALIASES = {"θ": "theta", "Θ": "Theta", "ω": "omega", "Ω": "omega", "\u2126": "omega"}
 
 
 def canonical_name(name: str) -> str:
-    """Normalize a generator name: unicode letters to ascii, pairs sorted."""
-    name = unicodedata.normalize("NFC", name.strip())
-    for greek, ascii_name in _NAME_ALIASES.items():
-        if name.startswith(greek):
-            name = ascii_name + name[len(greek):]
-            break
+    """Normalize a generator name: blanks stripped, a leading θ, Θ, ω, Ω or
+    ohm sign (U+2126) spelled in ascii, pair indices sorted."""
+    name = name.strip()
+    name = _NAME_ALIASES.get(name[:1], name[:1]) + name[1:]
     if "{" in name:
         head, _, rest = name.partition("_")
         indices = rest.strip("{}").replace(" ", "").split(",")

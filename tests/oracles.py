@@ -20,7 +20,8 @@ package's normal-form machinery.
 - scan_parse parses the word DSL one character at a time, the way the
   package did before its one-regex tokenizer.
 - h4_member decides membership in the Hilden subgroup H_4 of B_4 through
-  an integer image in SL2(Z).
+  an integer image in SL2(Z), and two_bridge_key reads the type of a 4-plat,
+  a 2-bridge link, off the same image.
 - bridge turns a framed braid into one whose plat closure is its standard
   closure; it multiplies with the package's framed group operations.
 - scan_multiply, scan_inverse and scan_tau_conjugate are the semidirect
@@ -486,6 +487,21 @@ def h4_image(beta: BraidWord) -> Matrix2:
 def h4_member(beta: BraidWord) -> bool:
     """beta lies in H_4 exactly when the lower-left entry of its image is 0."""
     return h4_image(beta)[1][0] == 0
+
+
+def two_bridge_key(beta: BraidWord) -> tuple[int, int]:
+    """The 2-bridge link S(p, q) that is the plat closure of a 4-strand braid,
+    as (p, q): p = |c| and q = sign(c) d mod p for the image
+    [[a, b], [c, d]], taken as the least of q and its inverse mod p, since
+    S(p, q) and S(p, q') are one link exactly when q' = q^(+-1) mod p
+    (Schubert, Math. Z. 65, 1956). p = 0 is the unlink and p = 1 the unknot,
+    both with q = 0; a mirror image has -q, so the key tells them apart."""
+    _, (c, d) = h4_image(beta)
+    p = abs(c)
+    if p <= 1:
+        return p, 0
+    q = d % p if c > 0 else -d % p
+    return p, min(q, pow(q, -1, p))
 
 
 # --- closure as plat -------------------------------------------------------

@@ -560,9 +560,13 @@ def test_hilden_verify_dictionary_output_is_pinned(tmp_path):
      "no framed_hilden relation at n=2 reads --dict 'omega_3'"),
     ({"thta_1": "", "x_{1,2}": ""}, 2,
      "no framed_hilden relation at n=2 reads --dict 'thta_1', 'x_{1,2}'"),
+    # names get no Unicode normalization: KELVIN SIGN is not K, and neither is read
+    ({"K_1": "s1", "\u212a_1": "s3"}, 2,
+     "no framed_hilden relation at n=2 reads --dict 'K_1', '\u212a_1'"),
     ({"theta_1": "s1 s1"}, 1, None),
     ({"θ_2": "t3 s3"}, 0, None),
-], ids=["misspelled", "index-out-of-range", "two-unread", "read-fails", "greek-alias"])
+], ids=["misspelled", "index-out-of-range", "two-unread", "kelvin-sign", "read-fails",
+        "greek-alias"])
 def test_hilden_verify_refuses_dictionary_names_no_relation_reads(tmp_path, words, code, message):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(words))

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import unicodedata
 
 import pytest
 
@@ -21,7 +23,7 @@ from framedbraids.hilden import (
     top_index,
     verify_relation_suite,
 )
-from framedbraids.hilden import _hilden_family, _omega_family, _pure_family
+from framedbraids.hilden import _NAME_ALIASES, _hilden_family, _omega_family, _pure_family
 from framedbraids.cli import MAX_HILDEN_N
 from framedbraids.parser import parse
 from framedbraids.words import Permutation, exponent_sum, permutation_of
@@ -81,6 +83,12 @@ def test_canonical_name():
     assert canonical_name("ω_1") == "omega_1"
     assert canonical_name("x_{3,1}") == "x_{1,3}"
     assert canonical_name(" P_2 ") == "P_2"
+    assert canonical_name("θ_1") == "theta_1"
+    assert canonical_name("Θ_1") == "Theta_1"
+    assert canonical_name("ω_2") == "omega_2"
+    assert canonical_name("\u03a9_1") == "omega_1"  # GREEK CAPITAL LETTER OMEGA
+    assert canonical_name("\u2126_1") == "omega_1"  # OHM SIGN
+    assert canonical_name(" theta_1 ") == "theta_1"
     for bad in ("x_{١,2}", "x_{1_0,2}"):  # pair indices take ASCII digits only
         with pytest.raises(ValueError, match="expected a signed decimal integer"):
             canonical_name(bad)
@@ -88,6 +96,29 @@ def test_canonical_name():
         with pytest.raises(ValueError) as err:
             canonical_name(bad)
         assert str(err.value) == f"generator name {bad!r} needs two indices, got {count}"
+
+
+def test_the_aliases_cover_every_nfc_spelling_of_a_name_letter():
+    # canonical_name applies no Unicode normalization: the one code point
+    # whose NFC form is a letter of some generator name or alias is the ohm
+    # sign, and the alias table maps it as NFC would have
+    letters = set(_NAME_ALIASES) | {
+        char for suite in SUITES for inst in suite_instances(suite, 4)
+        for name, _ in inst.lhs + inst.rhs for char in name
+    }
+    composed = {}
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        nfc = unicodedata.normalize("NFC", char)
+        if nfc != char and set(nfc) <= letters:
+            composed[char] = nfc
+    assert composed == {"\u2126": "\u03a9"}
+    assert canonical_name("\u2126_1") == canonical_name("\u03a9_1") == "omega_1"
+    # KELVIN SIGN, whose NFC form is K, no longer collides with K: no
+    # generator name holds a K, so hilden-verify refuses both as unread
+    one, two = normalize(parse("s1", 4)), normalize(parse("s3", 4))
+    kelvin = GeneratorDictionary(2, {"K_1": one, "\u212a_1": two})
+    assert sorted(kelvin.entries) == ["K_1", "\u212a_1"]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -19,7 +20,7 @@ from framedbraids.plat import (
     plat_signature,
 )
 
-from oracles import bridge, plat_trivial
+from oracles import bridge, h4_member, plat_trivial, two_bridge_key
 from test_cli import run_cli
 
 
@@ -241,3 +242,45 @@ def test_conjugations_lift_to_plat_conjugations_of_the_bridge():
         g_hat = lift(n, letters)
         assert is_plat_trivial(g_hat), letters
         assert framed_equal(bridge(apply_move(b, d)), conjugate(bridge(b), g_hat)), (b, d)
+
+
+# --- the exact 4-plat key ----------------------------------------------------
+# A 4-plat is a 2-bridge link S(p, q), read exactly off the SL2(Z) image of
+# the braid (tests/oracles.two_bridge_key); the plat signature compares only
+# components, framings and linking, which cannot tell these links apart.
+
+def test_double_coset_moves_keep_the_two_bridge_key():
+    rng = random.Random(24)
+    for _ in range(1000):
+        braid = sample_framed_braid(rng, 4, rng.randint(0, 12))
+        h1 = sample_hilden_product(rng, 2, 6)
+        h2 = sample_hilden_product(rng, 2, 6)
+        moved = double_coset_move(braid, h1, h2)
+        assert two_bridge_key(moved.beta) == two_bridge_key(braid.beta), (braid, h1, h2)
+        assert plat_signature(moved).canonical_key == plat_signature(braid).canonical_key
+
+
+def test_two_bridge_key_worked_values():
+    # the torus links T(2, k) and the mirror trefoil, as plats of bridges
+    for k in range(2, 6):
+        assert two_bridge_key(bridge(normalize(parse(f"s1^{k}", 2))).beta) == (k, k - 1)
+    assert two_bridge_key(bridge(normalize(parse("s1^-3", 2))).beta) == (3, 1)
+    # a plat-trivial non-member of H_4: the plat is S(8, 5), not the unlink
+    assert two_bridge_key(parse("s1 s2^-1 s1 s2^-1 s1 s2^-1", 4)) == (8, 5)
+    assert two_bridge_key(BraidWord(4, ())) == (0, 0)
+
+
+def test_plat_trivial_non_members_of_h4_are_all_s_8():
+    # The exact negative control for DoubleCoset's factor check, which asks
+    # only for plat-triviality: every short factor that passes it but is not
+    # in H_4 moves the identity, whose plat is the unlink S(0, 0), to h, whose
+    # plat is a nontrivial 2-bridge link with p = 8.
+    letters = [sigma(i, e) for i in (1, 2, 3) for e in (1, -1)]
+    words = [w for length in range(1, 7) for w in itertools.product(letters, repeat=length)
+             if all(b != sigma(a.index, -a.exponent) for a, b in zip(w, w[1:]))]
+    assert len(words) == 23436
+    trivial = [h for h in (normalize(BraidWord(4, w)) for w in words) if is_plat_trivial(h)]
+    assert len(trivial) == 360
+    outside = [h for h in trivial if not h4_member(h.beta)]
+    assert len(outside) == 40
+    assert {two_bridge_key(h.beta)[0] for h in outside} == {8}
